@@ -13,8 +13,6 @@ The paper's two groups:
 """
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from . import faz, sperr, tthresh, zfp
@@ -24,23 +22,15 @@ HIGH_PERFORMANCE = ("sz3", "zfp", "qoz", "hpez")
 HIGH_RATIO = ("sperr", "faz", "tthresh")
 ALL_CODECS = HIGH_PERFORMANCE + HIGH_RATIO
 
-_COMPRESS: dict[str, Callable] = {
-    "sz3": sz3.compress,
-    "qoz": qoz.compress,
-    "hpez": hpez.compress,
-    "zfp": zfp.compress,
-    "sperr": sperr.compress,
-    "faz": faz.compress,
-    "tthresh": tthresh.compress,
-}
-_DECOMPRESS: dict[str, Callable] = {
-    "sz3": sz3.decompress,
-    "qoz": qoz.decompress,
-    "hpez": hpez.decompress,
-    "zfp": zfp.decompress,
-    "sperr": sperr.decompress,
-    "faz": faz.decompress,
-    "tthresh": tthresh.decompress,
+#: name -> codec module; each exports ``compress`` and ``decompress``.
+_CODECS = {
+    "sz3": sz3,
+    "qoz": qoz,
+    "hpez": hpez,
+    "zfp": zfp,
+    "sperr": sperr,
+    "faz": faz,
+    "tthresh": tthresh,
 }
 
 
@@ -49,7 +39,7 @@ def compress(
 ) -> bytes:
     """Compress ``data`` with codec ``name`` under value-range (or
     absolute) error bound ``eps``; returns a self-describing blob."""
-    inner = _COMPRESS[name](data, eps, mode=mode, **kw)
+    inner = _CODECS[name].compress(data, eps, mode=mode, **kw)
     return container.pack(
         [("codec", name.encode()), ("payload", inner)]
     )
@@ -59,7 +49,7 @@ def decompress(blob: bytes) -> np.ndarray:
     """Decompress a blob produced by :func:`compress` (any codec)."""
     sec = container.unpack(blob)
     name = sec["codec"].decode()
-    return _DECOMPRESS[name](sec["payload"])
+    return _CODECS[name].decompress(sec["payload"])
 
 
 def codec_of(blob: bytes) -> str:

@@ -31,9 +31,10 @@ from itertools import permutations
 
 import numpy as np
 
+from . import codes as codes_mod
 from . import interp, lorenzo, metrics
 from .interp import EngineConfig, InterpConfig
-from .splines import SPLINE_CHOICES
+from .splines import SPLINE_CHOICES, line_predict
 
 SAMPLE_RATE = 0.002  # §6.1 default
 CROP_TARGET = 32  # sample-block side for per-level candidate probing
@@ -153,37 +154,39 @@ class _ErrProbe:
     Points of higher levels hold original values (each level is probed
     independently)."""
 
-    RADIUS = 32768
-
-    def __init__(self, a: np.ndarray, e: float) -> None:
+    def __init__(self, a: np.ndarray, cfg: EngineConfig, level: int) -> None:
         self.a = a
-        self.e = e
+        self.cfg = cfg
+        self.level = level
         self.abs_err = 0.0
         self.count = 0
-        self.codes = np.full(a.shape, self.RADIUS, dtype=np.int32)
+        self.codes = np.full(a.shape, cfg.radius, dtype=np.int32)
 
     def __call__(self, pred: np.ndarray, sel: tuple, e_l: float) -> np.ndarray:
         truth = self.a[sel]
         self.abs_err += float(np.abs(truth - pred).sum())
         self.count += truth.size
         q = np.rint((truth - pred) / (2.0 * e_l))
-        self.codes[sel] = (
-            np.clip(q, -self.RADIUS + 1, self.RADIUS - 1).astype(np.int32)
-            + self.RADIUS
-        )
+        r = self.cfg.radius
+        self.codes[sel] = np.clip(q, -r + 1, r - 1).astype(np.int32) + r
         return pred + 2.0 * e_l * q
 
-    def encoded_bytes(self, cfg: "EngineConfig", level: int) -> int:
+    def encoded_bytes(self) -> int:
         """Actual coded size of this level's codes under the real lossless
         stage (the LZ stage is order/run-sensitive, so marginal entropy
         would mis-rank configurations — measured, see DESIGN.md)."""
-        sels = interp.pass_selections(self.a.shape, cfg, levels=(level,))
+        sels = [p.sel for p in interp.passes(self.a.shape, self.cfg, (self.level,))]
         if not sels:
             return 0
         stream = np.concatenate([self.codes[sl].ravel() for sl in sels])
-        from . import codes as codes_mod
+        return len(codes_mod.encode(stream, center=self.cfg.radius))
 
-        return len(codes_mod.encode(stream, center=self.RADIUS))
+
+def _probe_level(a: np.ndarray, e: float, cfg: EngineConfig, level: int) -> _ErrProbe:
+    """Run level ``level`` of the walk on ``a`` in place, under a probe."""
+    probe = _ErrProbe(a, cfg, level)
+    interp._Walk(a, e, cfg, probe).run(levels=(level,))
+    return probe
 
 
 def _candidate_configs(opts: TuneOptions, active: tuple[int, ...]) -> list[InterpConfig]:
@@ -240,6 +243,7 @@ def tune_global_interp(
             md_sigma2=base.md_sigma2,
             block_cfg=None,
             fvfi=True,
+            radius=base.radius,
         )
 
     chosen: list[InterpConfig | None] = [None] * m
@@ -251,7 +255,7 @@ def tune_global_interp(
             # reference config (SZ3's default interpolation).
             chosen[level - 1] = ref
             for a in states:
-                interp._Walk(a, e, mk_cfg(ref), _ErrProbe(a, e))._level_passes(level)
+                _probe_level(a, e, mk_cfg(ref), level)
             continue
         best: tuple[tuple[float, float], InterpConfig, list[np.ndarray]] | None = None
         # Same-level interpolation (§5.4.2) is only offered where the
@@ -274,19 +278,16 @@ def tune_global_interp(
             trial: list[np.ndarray] = []
             for st in states:
                 a = st.copy()
-                probe = _ErrProbe(a, e)
-                interp._Walk(a, e, mk_cfg(c), probe)._level_passes(level)
+                probe = _probe_level(a, e, mk_cfg(c), level)
                 trial.append(a)
                 if probe.count:
-                    nbytes += probe.encoded_bytes(mk_cfg(c), level)
+                    nbytes += probe.encoded_bytes()
                     abs_err += probe.abs_err
                     count += probe.count
                 if level > 1:
-                    a2 = a.copy()
-                    probe2 = _ErrProbe(a2, e)
-                    interp._Walk(a2, e, mk_cfg(ref), probe2)._level_passes(level - 1)
+                    probe2 = _probe_level(a.copy(), e, mk_cfg(ref), level - 1)
                     if probe2.count:
-                        nbytes += probe2.encoded_bytes(mk_cfg(ref), level - 1)
+                        nbytes += probe2.encoded_bytes()
                         count += probe2.count
             score = (
                 (nbytes / count, abs_err / max(count, 1))
@@ -385,7 +386,7 @@ def tune_blocks(
                 tpos = np.arange(3, v.shape[-1] - 3)
                 if tpos.size == 0:
                     continue
-                pred = interp._line_predict_safe(v, tpos, name)
+                pred = line_predict(v, tpos, name)
                 err = np.take(v, tpos, axis=-1) - pred
                 nz += int(np.count_nonzero(np.rint(err / (2.0 * e))))
                 total += float(np.abs(err).sum())

@@ -27,9 +27,14 @@ target and, failing that, clamped to an even (always-known) index — this
 keeps every read *parity-safe*: the decompressor replays the identical
 walk on a NaN-initialized array and never reads an unwritten point.
 
-``fvfi=False`` (Table 6 ablation) executes each pass slice-by-slice along
-the fastest-varying axis — QoZ's dim-major traversal with poor memory
-locality — instead of one vectorized strided pass.
+:func:`passes` is the one definition of this structure: the walk runs
+its passes, the code stream is serialized in its order, and the tuner's
+§6.2 probes run and score single levels of it.
+
+``fvfi=False`` (Table 6 ablation) runs each pass one position of the last,
+fastest-varying axis at a time — QoZ's traversal with poor memory
+locality — instead of one vectorized strided pass, unless the pass
+interpolates along that axis.
 
 Block-wise tuning (§6.6) supplies a per-32^d-block spline id; each pass
 computes the prediction for every spline in use and blends them with the
@@ -37,9 +42,9 @@ block mask, so the walk stays vectorized and bit-exact on both sides.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -134,24 +139,72 @@ def _stencil_name(spline: str, same_level_phase: bool) -> str:
     return splines.SAME_LEVEL_OF[spline]
 
 
-def _line_predict_safe(v: np.ndarray, tpos: np.ndarray, stencil: str) -> np.ndarray:
-    """Stencil prediction with parity-safe boundary handling (see module doc)."""
-    n = v.shape[-1]
-    n1 = n - 1
-    hi_even = n1 - (n1 & 1)
-    acc: np.ndarray | None = None
-    for off, w in splines.STENCILS[stencil]:
-        idx = tpos + off
-        oob = (idx < 0) | (idx > n1)
-        if oob.any():
-            idx = np.where(oob, tpos - off, idx)
-            oob = (idx < 0) | (idx > n1)
-            if oob.any():
-                idx = np.where(oob, np.clip(idx, 0, hi_even), idx)
-        term = w * np.take(v, idx, axis=-1)
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc
+def _active_axes(shape: tuple[int, ...], cfg: EngineConfig) -> tuple[int, ...]:
+    """Axes the walk interpolates along: not frozen, length >= 2."""
+    frozen = set(cfg.frozen_axes)
+    return tuple(d for d in range(len(shape)) if d not in frozen and shape[d] >= 2)
+
+
+def _put(sel: tuple, ax: int, sl: slice) -> tuple:
+    return sel[:ax] + (sl,) + sel[ax + 1 :]
+
+
+@dataclass(frozen=True)
+class Pass:
+    """One step of the walk at level ``level`` (stride ``s = 2^(level-1)``).
+
+    ``sel`` selects the targets: odd multiples of ``s`` on every axis in
+    ``axes``, the already-known grid on the other active axes, everything
+    on frozen axes. One axis is a 1-D spline pass (same-level phases are
+    split inside it); several axes are an Eq. 9 multi-dimensional step."""
+
+    level: int
+    lc: InterpConfig
+    axes: tuple[int, ...]
+    sel: tuple
+
+
+def passes(
+    shape: tuple[int, ...], cfg: EngineConfig, levels: tuple[int, ...] | None = None
+) -> Iterator[Pass]:
+    """The walk's passes in execution order, levels ``m..1`` (or only
+    ``levels``). Every non-anchor point is the target of exactly one pass,
+    so the same sequence also orders the serialized code stream."""
+    active = _active_axes(shape, cfg)
+    m = int(cfg.anchor_stride).bit_length() - 1
+    for l in range(m, 0, -1):
+        if levels is not None and l not in levels:
+            continue
+        s = 1 << (l - 1)
+        lc = cfg.level_config(l)
+        # (target axes, known-grid stride of every active axis)
+        if lc.paradigm == "1d" or len(active) == 1:
+            # one pass per axis in dim order; earlier axes are already
+            # refined to stride s, later ones are still at 2s
+            order = tuple(d for d in lc.dim_order or active if d in active)
+            order = order + tuple(d for d in active if d not in order)
+            steps = [
+                ((d,), {dd: s if j < k else 2 * s for j, dd in enumerate(order)})
+                for k, d in enumerate(order)
+            ]
+        else:
+            # points grouped by their set of odd axes, fewest first
+            grid = {ax: 2 * s for ax in active}
+            steps = [
+                (A, grid)
+                for r in range(1, len(active) + 1)
+                for A in combinations(active, r)
+            ]
+        for axes, stride in steps:
+            if any(shape[d] <= s for d in axes):
+                continue
+            sel = tuple(
+                slice(s, None, 2 * s)
+                if ax in axes
+                else slice(0, None, stride[ax]) if ax in stride else ALL
+                for ax in range(len(shape))
+            )
+            yield Pass(l, lc, axes, sel)
 
 
 class _Walk:
@@ -173,316 +226,116 @@ class _Walk:
         self.e = e
         self.cfg = cfg
         self.qfun = qfun
-        nd = a.ndim
-        self.frozen = tuple(sorted(set(cfg.frozen_axes)))
-        self.active = tuple(
-            d for d in range(nd) if d not in self.frozen and a.shape[d] >= 2
+        self._used_splines = (
+            [int(u) for u in np.unique(cfg.block_cfg)]
+            if cfg.block_cfg is not None
+            else []
         )
-        if cfg.block_cfg is not None:
-            used = np.unique(cfg.block_cfg)
-            self._used_splines = [int(u) for u in used]
-        else:
-            self._used_splines = []
-        self._cur_level = 0
 
-    # -- selection helpers -------------------------------------------------
-    def _mk_sel(self, cat: dict[int, slice], d: int, dslice: slice) -> tuple:
-        sel = []
-        for ax in range(self.a.ndim):
-            if ax == d:
-                sel.append(dslice)
-            elif ax in cat:
-                sel.append(cat[ax])
-            else:
-                sel.append(ALL)
-        return tuple(sel)
+    def run(self, levels: tuple[int, ...] | None = None) -> None:
+        """Run every pass of ``levels`` (default: all) in order."""
+        last = self.a.ndim - 1
+        for p in passes(self.a.shape, self.cfg, levels):
+            if self.cfg.fvfi or last in p.axes:
+                self._run_pass(p, p.sel)
+                continue
+            # w/o FVFI (Table 6): QoZ's traversal, one position of the
+            # fastest-varying axis at a time — same arithmetic, poor
+            # memory locality; only the literal stream order changes.
+            for i in range(self.a.shape[last])[p.sel[last]]:
+                self._run_pass(p, _put(p.sel, last, slice(i, i + 1)))
+
+    def _run_pass(self, p: Pass, sel: tuple) -> None:
+        s = 1 << (p.level - 1)
+        e_l = self.e / min(self.cfg.alpha ** (p.level - 1), self.cfg.beta)
+        tpos = [np.arange(1, (self.a.shape[d] - 1) // s + 1, 2) for d in p.axes]
+        if (
+            len(p.axes) == 1
+            and p.lc.same_level
+            and p.lc.spline != "linear"
+            and tpos[0].size > 1
+        ):
+            # §5.4.2: j = 1 (mod 4) inter-level, then j = 3 (mod 4) with the
+            # same-level stencil reading the phase-1 outputs
+            d = p.axes[0]
+            phases = [
+                (_put(sel, d, slice(s, None, 4 * s)), False, [tpos[0][0::2]]),
+                (_put(sel, d, slice(3 * s, None, 4 * s)), True, [tpos[0][1::2]]),
+            ]
+        else:
+            phases = [(sel, False, tpos)]
+        for sel_t, sl_phase, tp in phases:
+            pred = self._blend_blocks(
+                p,
+                sel_t,
+                sl_phase,
+                lambda st: self._predict(sel, p.axes, s, tp, st),
+            )
+            self.a[sel_t] = self.qfun(pred, sel_t, e_l)
+
+    def _predict(
+        self,
+        sel: tuple,
+        axes: tuple[int, ...],
+        s: int,
+        tpos: list[np.ndarray],
+        stencil: str,
+    ) -> np.ndarray:
+        """1-D spline prediction along each axis of ``axes``, combined by
+        inverse-variance weights (Eq. 9/12) when there are several."""
+        preds = []
+        for d, t in zip(axes, tpos):
+            v = np.moveaxis(self.a[_put(sel, d, slice(0, None, s))], d, -1)
+            preds.append(np.moveaxis(splines.line_predict(v, t, stencil), -1, d))
+        if len(preds) == 1:
+            return preds[0]
+        sig = self.cfg.md_sigma2 or tuple(1.0 for _ in range(self.a.ndim))
+        inv = np.array([1.0 / max(sig[d], 1e-30) for d in axes])
+        w = inv / inv.sum()
+        acc = w[0] * preds[0]
+        for wi, pd in zip(w[1:], preds[1:]):
+            acc = acc + wi * pd
+        return acc
 
     def _cfg_ids(self, sel: tuple) -> np.ndarray:
         """Block spline id per target position for selection ``sel``."""
         B = self.cfg.block_size
-        axes_pos = []
-        for ax, sl in enumerate(sel):
-            pos = np.arange(self.a.shape[ax])[sl]
-            axes_pos.append(pos // B)
+        axes_pos = [np.arange(n)[sl] // B for n, sl in zip(self.a.shape, sel)]
         assert self.cfg.block_cfg is not None
         return self.cfg.block_cfg[np.ix_(*axes_pos)]
 
-    # -- prediction --------------------------------------------------------
-    def _pred_1d(
-        self, d: int, cat: dict[int, slice], s: int, tpos: np.ndarray, stencil: str
-    ) -> np.ndarray:
-        sel_v = self._mk_sel(cat, d, slice(0, None, s))
-        v = self.a[sel_v]
-        p = _line_predict_safe(np.moveaxis(v, d, -1), tpos, stencil)
-        return np.moveaxis(p, -1, d)
-
     def _blend_blocks(
         self,
+        p: Pass,
         sel_t: tuple,
         sl_phase: bool,
         pred_of: Callable[[str], np.ndarray],
-        global_spline: str,
     ) -> np.ndarray:
-        """Per-block spline blending (§6.6); falls back to the global spline.
+        """Per-block spline blending (§6.6); falls back to the level spline.
 
         The override applies on the final level only: block tuning scores
         splines at stride 1 (§6.6's sub-block test), which says nothing
         about the coarse levels — there the globally tuned config stays."""
-        if self.cfg.block_cfg is None or self._cur_level != 1:
-            return pred_of(_stencil_name(global_spline, sl_phase))
+        if self.cfg.block_cfg is None or p.level != 1:
+            return pred_of(_stencil_name(p.lc.spline, sl_phase))
         used = self._used_splines
         if len(used) == 1:
             return pred_of(_stencil_name(BLOCK_SPLINES[used[0]], sl_phase))
         ids = self._cfg_ids(sel_t)
         pred: np.ndarray | None = None
         for sid in used:
-            p = pred_of(_stencil_name(BLOCK_SPLINES[sid], sl_phase))
-            pred = p if pred is None else np.where(ids == sid, p, pred)
+            cand = pred_of(_stencil_name(BLOCK_SPLINES[sid], sl_phase))
+            pred = cand if pred is None else np.where(ids == sid, cand, pred)
         assert pred is not None
         return pred
 
-    # -- passes ------------------------------------------------------------
-    def _axis_pass(
-        self, d: int, s: int, cat: dict[int, slice], lc: InterpConfig, e_l: float
-    ) -> None:
-        """Single-axis pass (1d paradigm pass, or md r=1 step)."""
-        n = self.a.shape[d]
-        if n <= s:
-            return
-        nv = (n - 1) // s + 1
-        tpos_all = np.arange(1, nv, 2)
-        if tpos_all.size == 0:
-            return
-        split = lc.same_level and lc.spline != "linear" and tpos_all.size > 1
-        phases = (
-            [(tpos_all[0::2], False, 4), (tpos_all[1::2], True, 4)]
-            if split
-            else [(tpos_all, False, 2)]
-        )
-        for tpos, sl_phase, step_mult in phases:
-            if tpos.size == 0:
-                continue
-            tslice = slice(int(tpos[0]) * s, None, step_mult * s)
-            sel_t = self._mk_sel(cat, d, tslice)
-            pred = self._blend_blocks(
-                sel_t,
-                sl_phase,
-                lambda st: self._pred_1d(d, cat, s, tpos, st),
-                lc.spline,
-            )
-            self.a[sel_t] = self.qfun(pred, sel_t, e_l)
 
-    def _md_pass(
-        self, A: tuple[int, ...], s: int, lc: InterpConfig, e_l: float
-    ) -> None:
-        """Multi-dimensional step for points odd along every axis in ``A``."""
-        shape = self.a.shape
-        if any(shape[d] <= s for d in A):
-            return
-        cat: dict[int, slice] = {}
-        for ax in self.active:
-            if ax not in A:
-                cat[ax] = slice(0, None, 2 * s)
-        for ax in A:
-            cat[ax] = slice(s, None, 2 * s)
-        d0 = A[0]
-        sel_t = self._mk_sel(
-            {ax: sl for ax, sl in cat.items() if ax != d0}, d0, cat[d0]
-        )
-        sig = self.cfg.md_sigma2 or tuple(1.0 for _ in range(self.a.ndim))
-        inv = np.array([1.0 / max(sig[d], 1e-30) for d in A])
-        w = inv / inv.sum()
-
-        def pred_of(stencil: str) -> np.ndarray:
-            acc: np.ndarray | None = None
-            for wi, d in zip(w, A):
-                nv = (shape[d] - 1) // s + 1
-                tpos = np.arange(1, nv, 2)
-                cat_d = {ax: sl for ax, sl in cat.items() if ax != d}
-                p = self._pred_1d(d, cat_d, s, tpos, stencil)
-                acc = wi * p if acc is None else acc + wi * p
-            assert acc is not None
-            return acc
-
-        pred = self._blend_blocks(sel_t, False, pred_of, lc.spline)
-        self.a[sel_t] = self.qfun(pred, sel_t, e_l)
-
-    # -- level driver ------------------------------------------------------
-    def _level_passes(self, l: int) -> None:
-        self._cur_level = l
-        s = 1 << (l - 1)
-        e_l = self.e / min(self.cfg.alpha ** (l - 1), self.cfg.beta)
-        lc = self.cfg.level_config(l)
-        if lc.paradigm == "1d" or len(self.active) == 1:
-            order = lc.dim_order if lc.dim_order else self.active
-            order = tuple(d for d in order if d in self.active)
-            order = order + tuple(d for d in self.active if d not in order)
-            for k, d in enumerate(order):
-                cat: dict[int, slice] = {}
-                for j, dd in enumerate(order):
-                    if dd == d:
-                        continue
-                    cat[dd] = slice(0, None, s) if j < k else slice(0, None, 2 * s)
-                self._axis_pass(d, s, cat, lc, e_l)
-        else:
-            for r in range(1, len(self.active) + 1):
-                for A in combinations(self.active, r):
-                    if r == 1:
-                        d = A[0]
-                        cat = {
-                            ax: slice(0, None, 2 * s)
-                            for ax in self.active
-                            if ax != d
-                        }
-                        self._axis_pass(d, s, cat, lc, e_l)
-                    else:
-                        self._md_pass(A, s, lc, e_l)
-
-    def run(self) -> None:
-        m = int(self.cfg.anchor_stride).bit_length() - 1
-        if self.cfg.fvfi or self.a.ndim == 1:
-            for l in range(m, 0, -1):
-                self._level_passes(l)
-            return
-        # w/o FVFI (Table 6): dim-major, slice-by-slice traversal along the
-        # fastest-varying axis — same arithmetic, poor memory locality.
-        self._run_sliced(m)
-
-    def _run_sliced(self, m: int) -> None:
-        """Replay the walk restricting each pass to one fast-axis slice at
-        a time (QoZ traversal order, §5.4.1). Quantization-stream order
-        changes accordingly; compressor and decompressor share the flag."""
-        loop_ax = self.a.ndim - 1
-        orig_mk_sel = self._mk_sel
-
-        # state: k = current slice index along loop_ax; off = bypass slicing
-        # (used when the loop axis itself is a target axis of an md step).
-        state = {"k": 0, "off": False}
-
-        def mk_sel_sliced(cat: dict[int, slice], d: int, dslice: slice) -> tuple:
-            sel = list(orig_mk_sel(cat, d, dslice))
-            if not state["off"] and d != loop_ax:
-                pos = np.arange(self.a.shape[loop_ax])[sel[loop_ax]]
-                k = state["k"]
-                if k < pos.size:
-                    p = int(pos[k])
-                    sel[loop_ax] = slice(p, p + 1)
-                else:
-                    sel[loop_ax] = slice(0, 0)
-            return tuple(sel)
-
-        def loop_positions(cat: dict[int, slice], d: int) -> int:
-            if d == loop_ax:
-                return 1
-            sel = orig_mk_sel(cat, d, ALL)
-            return int(np.arange(self.a.shape[loop_ax])[sel[loop_ax]].size)
-
-        orig_axis_pass = _Walk._axis_pass
-        orig_md_pass = _Walk._md_pass
-        self._mk_sel = mk_sel_sliced  # type: ignore[method-assign]
-
-        def axis_pass(d, s, cat, lc, e_l):
-            if d == loop_ax:
-                state["off"] = True
-                orig_axis_pass(self, d, s, cat, lc, e_l)
-                state["off"] = False
-                return
-            for k in range(loop_positions(cat, d)):
-                state["k"] = k
-                orig_axis_pass(self, d, s, cat, lc, e_l)
-
-        def md_pass(A, s, lc, e_l):
-            if loop_ax in A:
-                state["off"] = True
-                orig_md_pass(self, A, s, lc, e_l)
-                state["off"] = False
-                return
-            cat = {ax: slice(0, None, 2 * s) for ax in self.active if ax not in A}
-            for k in range(loop_positions(cat, A[0])):
-                state["k"] = k
-                orig_md_pass(self, A, s, lc, e_l)
-
-        self._axis_pass = axis_pass  # type: ignore[method-assign]
-        self._md_pass = md_pass  # type: ignore[method-assign]
-        try:
-            for l in range(m, 0, -1):
-                self._level_passes(l)
-        finally:
-            self._mk_sel = orig_mk_sel  # type: ignore[method-assign]
-            del self._axis_pass
-            del self._md_pass
-
-
-def pass_selections(
-    shape: tuple[int, ...], cfg: EngineConfig, levels: tuple[int, ...] | None = None
-) -> list[tuple]:
-    """Canonical per-pass target selections, mirroring the walk's level/
-    pass structure (phases merged, vectorized mode). Used to serialize
-    the scattered quantization-code array level-by-level and pass-by-pass
-    — homogeneous segments compress far better under the lossless stage
-    than natural C order, and the order is independent of phase splits
-    and of the fvfi traversal flag. Must stay in lockstep with
-    ``_Walk._level_passes`` (pinned by coverage tests)."""
-    nd = len(shape)
-    frozen = tuple(sorted(set(cfg.frozen_axes)))
-    active = tuple(d for d in range(nd) if d not in frozen and shape[d] >= 2)
-
-    def mk_sel(cat: dict[int, slice], d: int, dslice: slice) -> tuple:
-        return tuple(
-            dslice if ax == d else cat.get(ax, ALL) for ax in range(nd)
-        )
-
-    sels: list[tuple] = []
-    m = int(cfg.anchor_stride).bit_length() - 1
-    for l in range(m, 0, -1):
-        if levels is not None and l not in levels:
-            continue
-        s = 1 << (l - 1)
-        lc = cfg.level_config(l)
-        if lc.paradigm == "1d" or len(active) == 1:
-            order = lc.dim_order if lc.dim_order else active
-            order = tuple(d for d in order if d in active)
-            order = order + tuple(d for d in active if d not in order)
-            for k, d in enumerate(order):
-                if shape[d] <= s:
-                    continue
-                cat: dict[int, slice] = {}
-                for j, dd in enumerate(order):
-                    if dd == d:
-                        continue
-                    cat[dd] = slice(0, None, s) if j < k else slice(0, None, 2 * s)
-                sels.append(mk_sel(cat, d, slice(s, None, 2 * s)))
-        else:
-            for r in range(1, len(active) + 1):
-                for A in combinations(active, r):
-                    if any(shape[d] <= s for d in A):
-                        continue
-                    cat = {
-                        ax: slice(0, None, 2 * s)
-                        for ax in active
-                        if ax not in A
-                    }
-                    for ax in A:
-                        cat[ax] = slice(s, None, 2 * s)
-                    d0 = A[0]
-                    sels.append(
-                        mk_sel(
-                            {ax: sl for ax, sl in cat.items() if ax != d0},
-                            d0,
-                            cat[d0],
-                        )
-                    )
-    return sels
-
-
-def _anchor_sel(shape: tuple[int, ...], cfg: EngineConfig, active: tuple[int, ...]) -> tuple:
-    sel = []
-    for ax in range(len(shape)):
-        if ax in active:
-            sel.append(slice(0, None, cfg.anchor_stride))
-        else:
-            sel.append(ALL)
-    return tuple(sel)
+def _anchor_sel(shape: tuple[int, ...], cfg: EngineConfig) -> tuple:
+    active = _active_axes(shape, cfg)
+    return tuple(
+        slice(0, None, cfg.anchor_stride) if ax in active else ALL
+        for ax in range(len(shape))
+    )
 
 
 def compress(
@@ -495,12 +348,7 @@ def compress(
         raise ValueError("error bound must be positive")
     orig_dtype = data.dtype
     a = np.ascontiguousarray(data, dtype=np.float64)
-    frozen = tuple(sorted(set(cfg.frozen_axes)))
-    active = tuple(
-        d for d in range(a.ndim) if d not in frozen and a.shape[d] >= 2
-    )
-    asel = _anchor_sel(a.shape, cfg, active)
-    anchors = np.ascontiguousarray(data[asel])
+    anchors = np.ascontiguousarray(data[_anchor_sel(a.shape, cfg)])
     enc = QuantEncoder(a.shape, cfg.radius)
 
     def qfun(pred: np.ndarray, sel: tuple, e_l: float) -> np.ndarray:
@@ -514,7 +362,7 @@ def compress(
         "e": e,
         "cfg": cfg.to_dict(),
     }
-    sels = pass_selections(data.shape, cfg)
+    sels = [p.sel for p in passes(data.shape, cfg)]
     stream = (
         np.concatenate([enc.codes[sl].ravel() for sl in sels])
         if sels
@@ -560,19 +408,16 @@ def decompress(payload: bytes) -> np.ndarray:
         lits = np.empty(0, dtype=np.float64)
     codes_arr = np.zeros(shape, dtype=np.int32)
     pos = 0
-    for sl in pass_selections(shape, cfg):
-        view = codes_arr[sl]
+    for p in passes(shape, cfg):
+        view = codes_arr[p.sel]
         n = view.size
-        codes_arr[sl] = codes[pos : pos + n].reshape(view.shape)
+        codes_arr[p.sel] = codes[pos : pos + n].reshape(view.shape)
         pos += n
     if pos != codes.size:
         raise ValueError("quantization code stream size mismatch")
     dec = QuantDecoder(codes_arr, lits, cfg.radius)
     a = np.full(shape, np.nan, dtype=np.float64)
-    frozen = tuple(sorted(set(cfg.frozen_axes)))
-    active = tuple(d for d in range(len(shape)) if d not in frozen and shape[d] >= 2)
-    asel = _anchor_sel(shape, cfg, active)
-    a[asel] = container.to_array(sec["anchors"]).astype(np.float64)
+    a[_anchor_sel(shape, cfg)] = container.to_array(sec["anchors"]).astype(np.float64)
 
     def qfun(pred: np.ndarray, sel: tuple, e_l: float) -> np.ndarray:
         return dec.dequantize(pred, e_l, sel)

@@ -8,10 +8,9 @@ for *unpredictable* points whose exact value is stored in a literal side
 stream (the SZ convention).
 
 Codes are scattered into an int32 array of the data's shape and
-serialized in natural C order. That makes the encoded size independent
-of the traversal order (Huffman, the paper's stage-4 coder, is
-order-insensitive; a stream in pass order would make the DEFLATE LZ
-stage sensitive to phase splitting and distort config tuning).
+serialized pass by pass, in the order of ``interp.passes`` (DESIGN.md
+§7). That order does not depend on same-level phase splits or on the
+fvfi traversal, so neither changes the encoded size.
 Unwritten positions (anchors) carry the neutral code ``radius`` (q=0).
 """
 from __future__ import annotations

@@ -44,20 +44,26 @@ SPLINE_CHOICES = ("linear", "cubic_nak", "cubic_nat")
 SAME_LEVEL_OF = {"cubic_nak": "cubic_nak_sl", "cubic_nat": "cubic_nat_sl"}
 
 
-def line_predict(
-    v: np.ndarray, tpos: np.ndarray, stencil: str
-) -> np.ndarray:
+def line_predict(v: np.ndarray, tpos: np.ndarray, stencil: str) -> np.ndarray:
     """Predict values at indices ``tpos`` along the last axis of ``v``.
 
     ``v`` is the stride-subsampled working line (last axis length n); the
-    neighbours used are ``v[..., tpos + off]`` with out-of-range indices
-    clipped to the array edge (edge replication — the deterministic
-    boundary fallback shared by compressor and decompressor).
+    neighbours used are ``v[..., tpos + off]``. An out-of-range neighbour
+    is mirrored about the target and, failing that, clamped to an even
+    (always-known) index: the parity-safe boundary rule that lets the
+    decompressor replay the walk without reading an unwritten point.
     """
-    n = v.shape[-1]
+    n1 = v.shape[-1] - 1
+    hi_even = n1 - (n1 & 1)
     acc: np.ndarray | None = None
     for off, w in STENCILS[stencil]:
-        idx = np.clip(tpos + off, 0, n - 1)
+        idx = tpos + off
+        oob = (idx < 0) | (idx > n1)
+        if oob.any():
+            idx = np.where(oob, tpos - off, idx)
+            oob = (idx < 0) | (idx > n1)
+            if oob.any():
+                idx = np.where(oob, np.clip(idx, 0, hi_even), idx)
         term = w * np.take(v, idx, axis=-1)
         acc = term if acc is None else acc + term
     assert acc is not None

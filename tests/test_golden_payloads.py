@@ -33,6 +33,8 @@ from repro.core import interp
 from repro.core.interp import EngineConfig, InterpConfig
 from repro.datasets import TEST_SHAPES, generate
 
+from .test_interp_engine import _field
+
 FIXTURE = Path(__file__).with_name("golden_payloads.json")
 ZLIB_KEY = "_zlib"
 
@@ -43,15 +45,6 @@ def _sha(b: bytes | np.ndarray) -> str:
     if isinstance(b, np.ndarray):
         b = np.ascontiguousarray(b).tobytes()
     return hashlib.sha256(b).hexdigest()
-
-
-def _field(shape: tuple[int, ...], seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    grids = np.ogrid[tuple(slice(0.0, 1.0, complex(0, n)) for n in shape)]
-    f = np.zeros(shape)
-    for g in grids:
-        f = f + np.sin(3.1 * np.pi * g)
-    return (f + 0.05 * rng.standard_normal(shape)).astype(np.float32)
 
 
 def _engine_cases() -> dict[str, tuple[np.ndarray, float, EngineConfig]]:

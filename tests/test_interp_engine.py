@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import interp
-from repro.core.interp import EngineConfig, InterpConfig, pass_selections
+from repro.core.interp import EngineConfig, InterpConfig, passes
 
 
 def _field(shape, seed=0):
@@ -84,7 +84,7 @@ def test_frozen_axis_anchor_density():
     """Anchors cover every position of the frozen axis (Fig. 8)."""
     shape = (8, 40, 40)
     cfg = EngineConfig(frozen_axes=(0,))
-    sels = pass_selections(shape, cfg)
+    sels = [p.sel for p in passes(shape, cfg)]
     covered = np.zeros(shape, dtype=int)
     for sel in sels:
         covered[sel] += 1
@@ -98,14 +98,14 @@ def test_frozen_axis_anchor_density():
 )
 @pytest.mark.parametrize("paradigm", ["1d", "md"])
 def test_pass_selections_cover_exactly_once(shape, paradigm):
-    """Every non-anchor point is targeted by exactly one pass — the
-    serialization order and the walk stay in lockstep."""
+    """Every non-anchor point is targeted by exactly one pass, so the
+    code stream serialized in pass order holds every code once."""
     cfg = EngineConfig(
         level_configs=(InterpConfig(paradigm, "cubic_nak", False, None),)
     )
     covered = np.zeros(shape, dtype=int)
-    for sel in pass_selections(shape, cfg):
-        covered[sel] += 1
+    for p in passes(shape, cfg):
+        covered[p.sel] += 1
     frozen = ()
     active = tuple(d for d in range(len(shape)) if shape[d] >= 2)
     anchor_sel = tuple(

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.core import splines
-from repro.core.interp import _line_predict_safe
 
 
 @pytest.mark.parametrize("name", list(splines.STENCILS))
@@ -100,7 +99,7 @@ def test_safe_predict_handles_edges(name, n):
     rng = np.random.default_rng(1)
     v = rng.standard_normal(n)
     tpos = np.arange(1, n, 2)
-    pred = _line_predict_safe(v, tpos, name)
+    pred = splines.line_predict(v, tpos, name)
     assert np.isfinite(pred).all()
     assert pred.shape == tpos.shape
 
@@ -113,5 +112,5 @@ def test_safe_predict_parity():
     marker[0::2] = 1.0  # known points
     tpos = np.arange(1, n, 2)
     for name in ("linear", "cubic_nak", "cubic_nat"):
-        pred = _line_predict_safe(marker, tpos, name)
+        pred = splines.line_predict(marker, tpos, name)
         assert np.isfinite(pred).all(), name
