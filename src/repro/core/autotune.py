@@ -382,12 +382,11 @@ def tune_blocks(
             for d in active:
                 if blk.shape[d] < 7:
                     continue
-                v = np.moveaxis(blk, d, -1)
-                tpos = np.arange(3, v.shape[-1] - 3)
+                tpos = np.arange(3, blk.shape[d] - 3)
                 if tpos.size == 0:
                     continue
-                pred = line_predict(v, tpos, name)
-                err = np.take(v, tpos, axis=-1) - pred
+                pred = line_predict(blk, tpos, name, axis=d)
+                err = np.take(blk, tpos, axis=d) - pred
                 nz += int(np.count_nonzero(np.rint(err / (2.0 * e))))
                 total += float(np.abs(err).sum())
             errs.append((nz, total))

@@ -12,6 +12,14 @@ is fully vectorized both ways:
 * DEFLATE each plane (DEFLATE's literal stage *is* Huffman coding, with
   LZ77 on top standing in for Zstd's match stage).
 
+Byte-plane layout (``BP01``): magic, then ``<QqB`` = symbol count ``n``,
+``center`` and plane count ``nbytes`` (1-8, the fewest bytes holding the
+largest zigzag value), then ``nbytes`` records of ``<Q`` length +
+DEFLATE blob, plane 0 (least significant byte) first; each plane
+inflates to exactly ``n`` bytes. Both directions work on an ``(n, w)``
+uint8 view of the narrowest unsigned dtype of ``w`` in {1, 2, 4, 8}
+bytes that holds ``nbytes`` planes: column ``b`` is plane ``b``.
+
 Streams below ``HUFFMAN_CUTOFF`` symbols use the real from-scratch
 canonical Huffman codec + DEFLATE, exercising the paper's exact pipeline.
 A ratio-parity test in ``tests/test_codes.py`` pins the two schemes
@@ -30,45 +38,44 @@ _MAGIC_HF = b"CH01"
 
 HUFFMAN_CUTOFF = 4096
 
-
-def _zigzag(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.int64)
-    return ((v << 1) ^ (v >> 63)).astype(np.uint64)
+_CORRUPT = "corrupt code-stream blob"
 
 
-def _unzigzag(u: np.ndarray) -> np.ndarray:
-    u = u.astype(np.uint64)
-    return ((u >> np.uint64(1)) ^ (-(u & np.uint64(1))).astype(np.uint64)).astype(
-        np.int64
-    )
+def _width(nbytes: int) -> int:
+    """Narrowest unsigned dtype width (bytes) holding ``nbytes`` planes."""
+    return next(w for w in (1, 2, 4, 8) if w >= nbytes)
 
 
 def encode(codes: np.ndarray, center: int = 0) -> bytes:
     """Encode an integer code stream; ``center`` is subtracted first."""
-    codes = np.asarray(codes).ravel().astype(np.int64)
-    n = codes.size
+    v = np.asarray(codes).ravel().astype(np.int64)
+    n = v.size
+    v -= center
     if n and n <= HUFFMAN_CUTOFF:
-        body = lossless.compress(huffman.encode(codes - center))
+        body = lossless.compress(huffman.encode(v))
         return _MAGIC_HF + struct.pack("<Qq", n, center) + body
-    z = _zigzag(codes - center)
+    z = ((v << 1) ^ (v >> 63)).view(np.uint64)  # zigzag
     nbytes = 1
     if n:
         m = int(z.max())
         while m >> (8 * nbytes):
             nbytes += 1
-    planes = []
-    for b in range(nbytes):
-        planes.append(((z >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(np.uint8))
+    w = _width(nbytes)
+    planes = z.astype(f"<u{w}").view(np.uint8).reshape(n, w)
     out = [_MAGIC_BP, struct.pack("<QqB", n, center, nbytes)]
-    for p in planes:
-        blob = lossless.compress(p.tobytes())
+    for b in range(nbytes):
+        blob = lossless.compress(planes[:, b].tobytes())
         out.append(struct.pack("<Q", len(blob)))
         out.append(blob)
     return b"".join(out)
 
 
 def decode(blob: bytes) -> np.ndarray:
-    """Decode back to int64 codes (center re-added)."""
+    """Decode back to int64 codes (center re-added).
+
+    A byte-plane header that disagrees with its planes (plane count
+    outside 1-8, a plane not ``n`` bytes long, trailing bytes) raises
+    ``ValueError`` before anything sized by ``n`` is allocated."""
     magic = blob[:4]
     if magic == _MAGIC_HF:
         n, center = struct.unpack_from("<Qq", blob, 4)
@@ -77,14 +84,27 @@ def decode(blob: bytes) -> np.ndarray:
     if magic != _MAGIC_BP:
         raise ValueError("unknown code-stream blob")
     n, center, nbytes = struct.unpack_from("<QqB", blob, 4)
+    if not 1 <= nbytes <= 8:
+        raise ValueError(_CORRUPT)
     off = 4 + 17
-    z = np.zeros(n, dtype=np.uint64)
-    for b in range(nbytes):
+    raw = []
+    for _ in range(nbytes):
+        if off + 8 > len(blob):
+            raise ValueError(_CORRUPT)
         (ln,) = struct.unpack_from("<Q", blob, off)
         off += 8
-        plane = np.frombuffer(
-            lossless.decompress(blob[off : off + ln]), dtype=np.uint8
-        )
+        plane = lossless.decompress(blob[off : off + ln])
         off += ln
-        z |= plane.astype(np.uint64) << np.uint64(8 * b)
-    return _unzigzag(z) + center
+        if len(plane) != n:
+            raise ValueError(_CORRUPT)
+        raw.append(plane)
+    if off != len(blob):
+        raise ValueError(_CORRUPT)
+    w = _width(nbytes)
+    planes = np.zeros((n, w), dtype=np.uint8)
+    for b, plane in enumerate(raw):
+        planes[:, b] = np.frombuffer(plane, dtype=np.uint8)
+    z = planes.view(f"<u{w}").ravel()
+    v = ((z >> 1) ^ -(z & 1)).view(f"<i{w}").astype(np.int64)  # unzigzag
+    v += center
+    return v

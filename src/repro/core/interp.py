@@ -282,19 +282,25 @@ class _Walk:
         stencil: str,
     ) -> np.ndarray:
         """1-D spline prediction along each axis of ``axes``, combined by
-        inverse-variance weights (Eq. 9/12) when there are several."""
-        preds = []
-        for d, t in zip(axes, tpos):
-            v = np.moveaxis(self.a[_put(sel, d, slice(0, None, s))], d, -1)
-            preds.append(np.moveaxis(splines.line_predict(v, t, stencil), -1, d))
-        if len(preds) == 1:
-            return preds[0]
+        inverse-variance weights (Eq. 9/12) when there are several. Each
+        stencil gathers along its native axis ``d``; the combine
+        accumulates in place, in axis order."""
+
+        def along(d: int, t: np.ndarray) -> np.ndarray:
+            v = self.a[_put(sel, d, slice(0, None, s))]
+            return splines.line_predict(v, t, stencil, axis=d)
+
+        if len(axes) == 1:
+            return along(axes[0], tpos[0])
         sig = self.cfg.md_sigma2 or tuple(1.0 for _ in range(self.a.ndim))
         inv = np.array([1.0 / max(sig[d], 1e-30) for d in axes])
         w = inv / inv.sum()
-        acc = w[0] * preds[0]
-        for wi, pd in zip(w[1:], preds[1:]):
-            acc = acc + wi * pd
+        acc = along(axes[0], tpos[0])
+        acc *= w[0]
+        for d, t, wi in zip(axes[1:], tpos[1:], w[1:]):
+            pd = along(d, t)
+            pd *= wi
+            acc += pd
         return acc
 
     def _cfg_ids(self, sel: tuple) -> np.ndarray:
@@ -407,14 +413,13 @@ def decompress(payload: bytes) -> np.ndarray:
     else:
         lits = np.empty(0, dtype=np.float64)
     codes_arr = np.zeros(shape, dtype=np.int32)
-    pos = 0
-    for p in passes(shape, cfg):
-        view = codes_arr[p.sel]
-        n = view.size
-        codes_arr[p.sel] = codes[pos : pos + n].reshape(view.shape)
-        pos += n
-    if pos != codes.size:
+    views = [codes_arr[p.sel] for p in passes(shape, cfg)]
+    if sum(view.size for view in views) != codes.size:
         raise ValueError("quantization code stream size mismatch")
+    pos = 0
+    for view in views:
+        view[...] = codes[pos : pos + view.size].reshape(view.shape)
+        pos += view.size
     dec = QuantDecoder(codes_arr, lits, cfg.radius)
     a = np.full(shape, np.nan, dtype=np.float64)
     a[_anchor_sel(shape, cfg)] = container.to_array(sec["anchors"]).astype(np.float64)

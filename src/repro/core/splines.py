@@ -44,19 +44,27 @@ SPLINE_CHOICES = ("linear", "cubic_nak", "cubic_nat")
 SAME_LEVEL_OF = {"cubic_nak": "cubic_nak_sl", "cubic_nat": "cubic_nat_sl"}
 
 
-def line_predict(v: np.ndarray, tpos: np.ndarray, stencil: str) -> np.ndarray:
-    """Predict values at indices ``tpos`` along the last axis of ``v``.
+def line_predict(
+    v: np.ndarray, tpos: np.ndarray, stencil: str, axis: int = -1
+) -> np.ndarray:
+    """Predict values at indices ``tpos`` along axis ``axis`` of ``v``.
 
-    ``v`` is the stride-subsampled working line (last axis length n); the
-    neighbours used are ``v[..., tpos + off]``. An out-of-range neighbour
-    is mirrored about the target and, failing that, clamped to an even
-    (always-known) index: the parity-safe boundary rule that lets the
-    decompressor replay the walk without reading an unwritten point.
+    ``v`` is the stride-subsampled working array (length n along
+    ``axis``); the neighbours used are ``v[..., tpos + off, ...]`` along
+    that axis, gathered in place so callers need not move the axis to the
+    end. The result has ``v``'s shape with ``axis`` replaced by
+    ``len(tpos)``. An out-of-range neighbour is mirrored about the target
+    and, failing that, clamped to an even (always-known) index: the
+    parity-safe boundary rule that lets the decompressor replay the walk
+    without reading an unwritten point.
+
+    Terms accumulate into one output buffer in stencil order (``w0*t0``,
+    then ``+= w1*t1`` ...), the same arithmetic and order for every axis.
     """
-    n1 = v.shape[-1] - 1
+    n1 = v.shape[axis] - 1
     hi_even = n1 - (n1 & 1)
-    acc: np.ndarray | None = None
-    for off, w in STENCILS[stencil]:
+
+    def neighbour(off: int) -> np.ndarray:
         idx = tpos + off
         oob = (idx < 0) | (idx > n1)
         if oob.any():
@@ -64,7 +72,16 @@ def line_predict(v: np.ndarray, tpos: np.ndarray, stencil: str) -> np.ndarray:
             oob = (idx < 0) | (idx > n1)
             if oob.any():
                 idx = np.where(oob, np.clip(idx, 0, hi_even), idx)
-        term = w * np.take(v, idx, axis=-1)
-        acc = term if acc is None else acc + term
-    assert acc is not None
+        return idx
+
+    # indices are in range, so mode="clip" changes nothing but lets take
+    # write straight into ``out`` (mode="raise" buffers it)
+    (off0, w0), *rest = STENCILS[stencil]
+    acc = np.take(v, neighbour(off0), axis=axis, mode="clip")
+    acc *= w0
+    buf = np.empty_like(acc)
+    for off, w in rest:
+        np.take(v, neighbour(off), axis=axis, out=buf, mode="clip")
+        buf *= w
+        acc += buf
     return acc

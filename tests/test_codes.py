@@ -1,18 +1,60 @@
 """Bulk quantization-code coder tests (byte-plane + Huffman paths)."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import codes
+from repro.core import codes, huffman, lossless
+
+
+def _uint64_plane_encode(codes_, center):
+    """Reference byte-plane encoder as first written: one shift, mask and
+    ``astype`` pass over the uint64 zigzag stream per plane."""
+    v = np.asarray(codes_).ravel().astype(np.int64) - center
+    z = ((v << 1) ^ (v >> 63)).astype(np.uint64)
+    nbytes = 1
+    if z.size:
+        m = int(z.max())
+        while m >> (8 * nbytes):
+            nbytes += 1
+    out = [b"BP01", struct.pack("<QqB", z.size, center, nbytes)]
+    for b in range(nbytes):
+        plane = ((z >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(np.uint8)
+        blob = lossless.compress(plane.tobytes())
+        out += [struct.pack("<Q", len(blob)), blob]
+    return b"".join(out)
+
+
+#: largest zigzag value -> 1, 2, 3, 4, 5, 6, 7 and 8 byte planes
+_ZMAX = [2**8 - 1, 2**8, 2**16, 2**24, 2**32, 2**40, 2**48, 2**56]
+_CASES = [(n, None) for n in (0, 1, 10, 5000, 70000)] + [(5000, z) for z in _ZMAX]
 
 
 @pytest.mark.parametrize("center", [0, 32768, -5])
-@pytest.mark.parametrize("n", [0, 1, 10, 5000, 70000])
-def test_roundtrip(center, n):
+@pytest.mark.parametrize(
+    "n, zmax",
+    _CASES,
+    ids=[str(n) if z is None else f"{n}-z{z}" for n, z in _CASES],
+)
+def test_roundtrip(n, zmax, center):
+    """Round trip, and byte-plane streams byte-equal to the reference
+    encoder at every plane width."""
     rng = np.random.default_rng(n + 1)
-    arr = rng.integers(center - 100, center + 100, n)
-    out = codes.decode(codes.encode(arr, center=center))
+    if zmax is None:
+        arr = rng.integers(center - 100, center + 100, n)
+    else:
+        z = rng.integers(0, zmax + 1, n)
+        z[n // 2] = zmax
+        arr = ((z >> 1) ^ -(z & 1)) + center  # un-zigzag
+    blob = codes.encode(arr, center=center)
+    if blob[:4] == b"BP01":
+        assert blob == _uint64_plane_encode(arr, center)
+    if zmax is not None:
+        assert blob[20] == (zmax.bit_length() + 7) // 8
+    out = codes.decode(blob)
+    assert out.dtype == np.int64
     np.testing.assert_array_equal(out, arr)
 
 
@@ -41,8 +83,6 @@ def test_ratio_parity_huffman_vs_byteplane():
     quantization codes."""
     rng = np.random.default_rng(1)
     sym = np.rint(rng.standard_normal(40000) * 2.0).astype(np.int64)
-    from repro.core import huffman, lossless
-
     hf = len(lossless.compress(huffman.encode(sym)))
     bp = len(codes.encode(sym, center=0))
     assert bp < hf * 1.25
@@ -71,3 +111,23 @@ def test_roundtrip_hypothesis(data):
 def test_rejects_garbage():
     with pytest.raises(ValueError):
         codes.decode(b"XXXXrest")
+
+
+def _byteplane_blob():
+    return codes.encode(np.arange(-3000, 3000), center=0)  # 2 planes
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda b: b[:20] + bytes([9]) + b[21:],  # plane count above 8
+        lambda b: b[:20] + bytes([0]) + b[21:],  # no planes
+        lambda b: b[:20] + bytes([3]) + b[21:],  # a plane missing at the end
+        lambda b: b[:4] + struct.pack("<Q", 6001) + b[12:],  # n != plane size
+        lambda b: b + b"\0",  # bytes after the last plane
+    ],
+    ids=["nbytes9", "nbytes0", "missing_plane", "wrong_n", "trailing"],
+)
+def test_rejects_corrupt_byteplane_header(damage):
+    with pytest.raises(ValueError, match="corrupt code-stream blob"):
+        codes.decode(damage(_byteplane_blob()))

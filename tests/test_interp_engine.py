@@ -3,7 +3,7 @@ error bound, grid coverage, freezing, block configs, level error bounds."""
 import numpy as np
 import pytest
 
-from repro.core import interp
+from repro.core import codes, container, interp
 from repro.core.interp import EngineConfig, InterpConfig, passes
 
 
@@ -220,3 +220,15 @@ def test_config_serialization_roundtrip():
     )
     back = EngineConfig.from_dict(cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
+
+
+def test_short_code_stream_rejected():
+    """A code stream shorter than the walk's passes raises the stream
+    size error before any code is scattered."""
+    f = _field((40, 41))
+    blob, _ = interp.compress(f, 1e-2, EngineConfig())
+    sec = container.unpack(blob)
+    stream = codes.decode(sec["codes"])
+    sec["codes"] = codes.encode(stream[:-1], center=32768)
+    with pytest.raises(ValueError, match="size mismatch"):
+        interp.decompress(container.pack(list(sec.items())))
