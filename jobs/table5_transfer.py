@@ -13,7 +13,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _runner import emit, get_spark, scale_arg  # noqa: E402
 
-from repro import sparkio  # noqa: E402
+from repro import codecs, sparkio  # noqa: E402
 from repro.datasets import generate  # noqa: E402
 from repro.tables import format_rows, table5_transfer  # noqa: E402
 
@@ -27,7 +27,7 @@ def spark_distributed_demo(scale: str) -> list[dict]:
     bw = 1e9  # simulated inter-machine bandwidth, bytes/s
     for ds in ("Miranda", "CESM-ATM"):
         data = generate(ds, scale)
-        e_abs = 1e-3 * float(data.max() - data.min())
+        e_abs = codecs.abs_bound(data, 1e-3)
         df = sparkio.to_blocks_df(spark, data, (64, 64, 64)).cache()
         df.count()
         for codec in ("sz3", "qoz", "sperr", "hpez"):

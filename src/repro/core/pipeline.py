@@ -2,23 +2,15 @@
 
 Implements the five framework steps of paper §4 around the interpolation
 engine: auto-tuning → prediction → linear quantization → entropy coding →
-lossless postprocessing, plus the value-range error-bound convention of
-§7.1.3 (``e = eps * (max - min)``).
+lossless postprocessing, under an absolute error bound ``e`` (resolved
+from the §7.1.3 value-range ``eps`` by ``codecs.abs_bound``).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import autotune, container, interp, lorenzo, metrics
+from . import autotune, container, interp, lorenzo
 from .autotune import TuneOptions
-
-
-def rel_to_abs(data: np.ndarray, eps: float) -> float:
-    """Value-range-based eps → absolute bound (constant data → tiny e)."""
-    r = metrics.value_range(data)
-    if r == 0:
-        return eps if eps > 0 else 1e-12
-    return eps * r
 
 
 class PredictionCodec:
@@ -31,15 +23,13 @@ class PredictionCodec:
     def compress(
         self,
         data: np.ndarray,
-        eps: float,
-        mode: str = "rel",
+        e: float,
         target: str | None = None,
         fvfi: bool | None = None,
     ) -> bytes:
-        """Compress; ``mode="rel"`` is value-range-based (paper default),
-        ``"abs"`` takes ``eps`` as the absolute bound directly."""
+        """Compress under absolute error bound ``e``; ``target`` and
+        ``fvfi`` override the preset's tuning options for this call."""
         data = np.asarray(data)
-        e = rel_to_abs(data, eps) if mode == "rel" else float(eps)
         opts = self.opts
         if target is not None or fvfi is not None:
             opts = TuneOptions(**{**opts.__dict__})

@@ -20,10 +20,12 @@ from ..core import container, hpez
 _INTERP = hpez.make_codec(target="psnr", name="faz-interp")
 
 
-def compress(data: np.ndarray, eps: float, mode: str = "rel") -> bytes:
+def compress(data: np.ndarray, e: float) -> bytes:
+    """Compress under absolute error bound ``e``; keeps the smaller of
+    the interpolation and wavelet payloads."""
     a = np.asarray(data)
-    interp_blob = _INTERP.compress(a, eps, mode=mode)
-    wave_blob = sperr.compress(a, eps, mode=mode)
+    interp_blob = _INTERP.compress(a, e)
+    wave_blob = sperr.compress(a, e)
     if len(wave_blob) < len(interp_blob):
         kind, inner = "wavelet", wave_blob
     else:

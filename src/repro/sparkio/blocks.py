@@ -83,14 +83,20 @@ def to_blocks_df(
 
 
 def compress_df(
-    df: DataFrame, codec: str, eps: float, mode: str = "rel"
+    df: DataFrame, codec: str, eps: float, mode: str = "abs"
 ) -> DataFrame:
     """Per-partition compression kernel (mapInPandas): raw block rows →
     compressed block rows carrying the codec blob in a binary column.
 
-    ``mode="rel"`` interprets ``eps`` per block (each block's own value
-    range); pass ``mode="abs"`` with a precomputed global absolute bound
-    to respect the whole-field value-range semantics of §7.1.3."""
+    ``eps`` is the absolute bound for every block; the whole-field
+    value-range bound of §7.1.3 is ``codecs.abs_bound(field, eps)``.
+    ``mode="rel"`` would apply ``eps`` to each block's own value range,
+    so it is refused before any Spark action."""
+    if mode != "abs":
+        raise ValueError(
+            f"compress_df takes an absolute bound, got mode={mode!r}; "
+            "pass codecs.abs_bound(field, eps) with mode='abs'"
+        )
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
@@ -99,7 +105,7 @@ def compress_df(
                 shape = tuple(json.loads(row.shape))
                 vals = np.frombuffer(row.payload, dtype=np.dtype(row.dtype))
                 vals = vals.reshape(shape)
-                blob = codecs.compress(codec, vals, eps, mode=mode)
+                blob = codecs.compress(codec, vals, eps, mode="abs")
                 out.append(
                     (
                         row.block_id,

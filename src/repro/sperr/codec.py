@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import codes as codes_mod
-from ..core import container, lossless, metrics
+from ..core import container, lossless
 from . import wavelet
 
 _LEVELS = 4
@@ -38,11 +38,9 @@ def _n_levels(shape: tuple[int, ...]) -> int:
     return max(lv, 1)
 
 
-def compress(data: np.ndarray, eps: float, mode: str = "rel") -> bytes:
+def compress(data: np.ndarray, e: float) -> bytes:
+    """Compress under absolute error bound ``e``."""
     a = np.asarray(data, dtype=np.float64)
-    e = metrics.value_range(a) * eps if mode == "rel" else float(eps)
-    if e <= 0:
-        e = max(abs(eps), 1e-300)
     levels = _n_levels(a.shape)
     coeffs = wavelet.forward(a, levels)
     # Initial step: wavelet synthesis of i.i.d. quantization noise keeps

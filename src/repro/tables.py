@@ -7,13 +7,11 @@ to the measured output of these functions.
 """
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
 
 from . import codecs
-from .core import metrics
 from .datasets import BENCH_SHAPES, FP_DATASETS, TEST_SHAPES, generate
 from .transfer import TransferMeasurement, measure_codec, transfer_time
 
@@ -77,22 +75,6 @@ def speed_data(name: str, scale: str = "bench") -> np.ndarray:
     return np.concatenate([data] * reps, axis=0)
 
 
-def _timed_roundtrip(
-    codec: str, data: np.ndarray, eps: float
-) -> tuple[float, float, float, float]:
-    """(comp MB/s, decomp MB/s, CR, max|err|/e) for one codec run."""
-    mb = data.nbytes / 1e6
-    t0 = time.perf_counter()
-    blob = codecs.compress(codec, data, eps)
-    t_comp = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    recon = codecs.decompress(blob)
-    t_dec = time.perf_counter() - t0
-    e = metrics.value_range(data) * eps
-    rel = metrics.max_abs_err(data, recon) / e if e else 0.0
-    return mb / t_comp, mb / t_dec, data.nbytes / len(blob), rel
-
-
 def table2_speeds(
     scale: str = "bench",
     eps: float = 1e-3,
@@ -103,16 +85,16 @@ def table2_speeds(
     rows = []
     for ds in datasets:
         data = speed_data(ds, scale)
+        mb = data.nbytes / 1e6
         for c in codec_names:
-            comp, dec, cr, rel = _timed_roundtrip(c, data, eps)
-            assert rel <= 1 + 1e-6, f"bound violated: {c} on {ds}"
+            blob, _, t_comp, t_dec = codecs.roundtrip(c, data, eps)
             rows.append(
                 {
                     "dataset": ds,
                     "codec": c,
-                    "comp_mbps": comp,
-                    "decomp_mbps": dec,
-                    "cr": cr,
+                    "comp_mbps": mb / t_comp,
+                    "decomp_mbps": mb / t_dec,
+                    "cr": data.nbytes / len(blob),
                 }
             )
     return rows
@@ -131,10 +113,7 @@ def _cr_table(
         for eps in eps_list:
             crs = {}
             for c in codec_names:
-                blob = codecs.compress(c, data, eps)
-                recon = codecs.decompress(blob)
-                e = metrics.value_range(data) * eps
-                assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)
+                blob = codecs.roundtrip(c, data, eps)[0]
                 crs[c] = data.nbytes / len(blob)
             row = {"dataset": ds, "eps": eps, **crs}
             if improve_of:
@@ -231,14 +210,9 @@ def table6_fvfi(
         data = generate(ds, scale)
         mb = data.nbytes / 1e6
         for fvfi in (False, True):
-            t0 = time.perf_counter()
-            blob = codecs.compress("hpez", data, eps, fvfi=fvfi)
-            t_comp = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            recon = codecs.decompress(blob)
-            t_dec = time.perf_counter() - t0
-            e = metrics.value_range(data) * eps
-            assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)
+            _, _, t_comp, t_dec = codecs.roundtrip(
+                "hpez", data, eps, fvfi=fvfi
+            )
             rows.append(
                 {
                     "dataset": ds,

@@ -13,7 +13,6 @@ PSNR = 80 dB, which requires searching each codec's eps for that PSNR.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,30 +75,21 @@ def measure_codec(
     target_psnr: float = 80.0,
     timing_data: np.ndarray | None = None,
 ) -> TransferMeasurement:
-    """eps search to the target PSNR on ``data``, then a timed
-    compress/decompress. ``timing_data`` (default: ``data``) lets the
-    timing run on a larger array so constant tuning costs amortize like
-    on the paper's GB-scale files."""
+    """eps search to the target PSNR on ``data``, then a timed,
+    bound-checked compress/decompress. ``timing_data`` (default:
+    ``data``) lets the timing run on a larger array so constant tuning
+    costs amortize like on the paper's GB-scale files."""
     eps, psnr = search_eps_for_psnr(codec, data, target_psnr)
     big = data if timing_data is None else timing_data
-    t0 = time.perf_counter()
-    blob = codecs.compress(codec, big, eps)
-    t_comp = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    recon = codecs.decompress(blob)
-    t_dec = time.perf_counter() - t0
+    blob, recon, t_comp, t_dec = codecs.roundtrip(codec, big, eps)
     mb = big.nbytes / 1e6
-    quality_blob = (
-        blob if big is data else codecs.compress(codec, data, eps)
-    )
-    quality_recon = (
-        recon if big is data else codecs.decompress(quality_blob)
-    )
+    if big is not data:
+        blob, recon, _, _ = codecs.roundtrip(codec, data, eps)
     return TransferMeasurement(
         codec=codec,
         eps=eps,
-        psnr=metrics.psnr(data, quality_recon),
-        cr=data.nbytes / len(quality_blob),
+        psnr=metrics.psnr(data, recon),
+        cr=data.nbytes / len(blob),
         comp_mbps=mb / t_comp,
         decomp_mbps=mb / t_dec,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import codes as codes_mod
-from ..core import container, lossless, metrics
+from ..core import container, lossless
 
 _MAX_ITER = 4
 _CORR_FRACTION = 0.02
@@ -54,11 +54,9 @@ def _tucker_compose(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return x
 
 
-def compress(data: np.ndarray, eps: float, mode: str = "rel") -> bytes:
+def compress(data: np.ndarray, e: float) -> bytes:
+    """Compress under absolute error bound ``e``."""
     a = np.asarray(data, dtype=np.float64)
-    e = metrics.value_range(a) * eps if mode == "rel" else float(eps)
-    if e <= 0:
-        e = max(abs(eps), 1e-300)
     factors = _mode_factors(a)
     core = _tucker_core(a, factors)
     # The decoder composes with the *stored* (float32) factors; use the

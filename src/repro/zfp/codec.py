@@ -109,13 +109,9 @@ def _unblockify(
     return a[tuple(slice(0, n) for n in shape)].copy()
 
 
-def compress(data: np.ndarray, eps: float, mode: str = "rel") -> bytes:
-    """Fixed-accuracy compression under value-range eps (or absolute)."""
+def compress(data: np.ndarray, e: float) -> bytes:
+    """Fixed-accuracy compression under absolute error bound ``e``."""
     a = np.asarray(data, dtype=np.float64)
-    rng = float(a.max() - a.min()) if a.size else 0.0
-    e = eps * rng if mode == "rel" else float(eps)
-    if e <= 0:
-        e = max(abs(eps), 1e-300)
     nd = a.ndim
     blocks, padded_shape = _blockify(a)
     maxabs = np.abs(blocks).reshape(blocks.shape[0], -1).max(axis=1)

@@ -34,6 +34,8 @@ def test_bound_and_roundtrip(codec, dataset, eps):
         dataset,
         eps,
     )
+    e_abs = codecs.abs_bound(data, eps)
+    assert codecs.compress(codec, data, e_abs, mode="abs") == blob
 
 
 @pytest.mark.parametrize("codec", codecs.ALL_CODECS)
@@ -109,6 +111,70 @@ def test_psnr_target_mode():
     recon = codecs.decompress(blob)
     e = metrics.value_range(data) * 1e-3
     assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)
+
+
+def _field24() -> np.ndarray:
+    g = np.ogrid[0.0:1.0:24j, 0.0:1.0:24j]
+    return (np.sin(6 * g[0]) * np.cos(5 * g[1]) + 10 * g[0] * g[1]).astype(
+        np.float32
+    )
+
+
+@pytest.mark.parametrize("codec", codecs.ALL_CODECS)
+@pytest.mark.parametrize("mode", ["rel", "abs"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, None], ids=["nan", "+inf", "-inf", "empty"]
+)
+def test_rejects_unboundable_input(codec, mode, bad):
+    """No codec can hold ``max|x - x'| <= e`` on non-finite or empty
+    input, so ``codecs.compress`` refuses it instead of returning a
+    payload that silently breaks the bound (also with an absolute bound,
+    as the Spark kernels pass)."""
+    if bad is None:
+        data = np.zeros((0, 8), dtype=np.float32)
+    else:
+        data = _field24()
+        data[5, 7] = bad
+    with pytest.raises(ValueError):
+        codecs.compress(codec, data, 1e-3, mode=mode)
+
+
+@pytest.mark.parametrize("codec", codecs.ALL_CODECS)
+@pytest.mark.parametrize(
+    "eps,mode",
+    [
+        (0.0, "rel"),
+        (-1e-3, "rel"),
+        (np.nan, "rel"),
+        (np.inf, "rel"),
+        (1e-3, "relative"),
+    ],
+    ids=["zero", "negative", "nan", "inf", "mode-typo"],
+)
+def test_rejects_invalid_bound(codec, eps, mode):
+    with pytest.raises(ValueError):
+        codecs.compress(codec, _field24(), eps, mode=mode)
+
+
+def test_abs_bound():
+    f = _field24()
+    r = metrics.value_range(f)
+    assert codecs.abs_bound(f, 1e-3) == 1e-3 * r
+    assert codecs.abs_bound(f, 0.5, mode="abs") == 0.5
+    assert codecs.abs_bound(np.full((4, 4), 3.0), 1e-3) == 1e-3
+
+
+def test_roundtrip_checks_the_bound(monkeypatch):
+    data = generate("Miranda", "test")
+    blob, recon, t_comp, t_dec = codecs.roundtrip("sz3", data, 1e-3)
+    assert blob == codecs.compress("sz3", data, 1e-3)
+    np.testing.assert_array_equal(recon, codecs.decompress(blob))
+    assert t_comp > 0 and t_dec > 0
+    e = codecs.abs_bound(data, 1e-3)
+    real = codecs.decompress
+    monkeypatch.setattr(codecs, "decompress", lambda b: real(b) + 2 * e)
+    with pytest.raises(RuntimeError, match="bound violated"):
+        codecs.roundtrip("sz3", data, 1e-3)
 
 
 def test_unknown_codec_raises():

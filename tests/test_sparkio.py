@@ -155,3 +155,15 @@ def test_distributed_equals_local_blocks(spark, field):
         codecs.compress("sz3", field[:20], e_abs, mode="abs")
     )
     np.testing.assert_array_equal(out[:20], local)
+
+
+def test_compress_df_takes_absolute_bound(spark, field):
+    """Per-block ``rel`` would bound each block by its own value range,
+    not the field's (§7.1.3), so it is refused before any Spark job."""
+    orig = sparkio.to_blocks_df(spark, field, (20, 20, 18))
+    with pytest.raises(ValueError, match=r"codecs\.abs_bound\(field, eps\)"):
+        sparkio.compress_df(orig, "sz3", 1e-3, mode="rel")
+    e_abs = codecs.abs_bound(field, 1e-3)
+    row = sparkio.compress_df(orig.where("block_id = 0"), "sz3", e_abs).first()
+    local = codecs.compress("sz3", field[:20, :20, :18], e_abs, mode="abs")
+    assert row.blob == local

@@ -38,7 +38,7 @@ def test_bound(eps):
         np.float32
     )
     e = eps * float(f.max() - f.min())
-    d = sperr.decompress(sperr.compress(f, eps))
+    d = sperr.decompress(sperr.compress(f, e))
     assert np.abs(d - f.astype(np.float64)).max() <= e * (1 + 1e-9)
 
 
@@ -48,7 +48,7 @@ def test_correction_list_engages_on_spiky_data():
     f[::7, ::7] = 100.0  # spikes force local wavelet overshoot
     f += rng.standard_normal((40, 40)).astype(np.float32)
     e = 1e-3 * float(f.max() - f.min())
-    blob = sperr.compress(f, 1e-3)
+    blob = sperr.compress(f, e)
     d = sperr.decompress(blob)
     assert np.abs(d - f.astype(np.float64)).max() <= e * (1 + 1e-9)
 
@@ -56,5 +56,6 @@ def test_correction_list_engages_on_spiky_data():
 def test_cr_monotone_in_eps():
     rng = np.random.default_rng(3)
     f = np.cumsum(rng.standard_normal((40, 40)), axis=0).astype(np.float32)
-    sizes = [len(sperr.compress(f, e)) for e in (1e-2, 1e-3, 1e-4)]
+    r = float(f.max() - f.min())
+    sizes = [len(sperr.compress(f, eps * r)) for eps in (1e-2, 1e-3, 1e-4)]
     assert sizes[0] < sizes[2]

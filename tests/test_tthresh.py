@@ -41,7 +41,7 @@ def test_bound(eps):
         np.float32
     )
     e = eps * float(f.max() - f.min())
-    d = tthresh.decompress(tthresh.compress(f, eps))
+    d = tthresh.decompress(tthresh.compress(f, e))
     assert np.abs(d - f.astype(np.float64)).max() <= e * (1 + 1e-9)
 
 
@@ -49,5 +49,5 @@ def test_2d_input():
     rng = np.random.default_rng(3)
     f = np.cumsum(rng.standard_normal((30, 40)), axis=0).astype(np.float32)
     e = 1e-3 * float(f.max() - f.min())
-    d = tthresh.decompress(tthresh.compress(f, 1e-3))
+    d = tthresh.decompress(tthresh.compress(f, e))
     assert np.abs(d - f.astype(np.float64)).max() <= e * (1 + 1e-9)

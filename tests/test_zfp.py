@@ -59,7 +59,7 @@ def test_bound_all_shapes(eps, shape):
         f = f + np.sin(4 * np.pi * gr)
     f = (f + 0.1 * rng.standard_normal(shape)).astype(np.float32)
     e = eps * float(f.max() - f.min())
-    d = zfp.decompress(zfp.compress(f, eps))
+    d = zfp.decompress(zfp.compress(f, e))
     assert d.shape == shape
     assert np.abs(d - f.astype(np.float64)).max() <= e * (1 + 1e-9)
 
@@ -73,5 +73,6 @@ def test_constant_data():
 def test_cr_monotone_in_eps():
     rng = np.random.default_rng(3)
     f = np.cumsum(rng.standard_normal((40, 40, 20)), axis=0).astype(np.float32)
-    sizes = [len(zfp.compress(f, e)) for e in (1e-2, 1e-3, 1e-4)]
+    r = float(f.max() - f.min())
+    sizes = [len(zfp.compress(f, eps * r)) for eps in (1e-2, 1e-3, 1e-4)]
     assert sizes[0] < sizes[1] < sizes[2]
