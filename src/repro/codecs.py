@@ -90,14 +90,15 @@ def codec_of(blob: bytes) -> str:
 
 
 def roundtrip(
-    name: str, data: np.ndarray, eps: float, mode: str = "rel", **kw
+    name: str, data: np.ndarray, eps: float, **kw
 ) -> tuple[bytes, np.ndarray, float, float]:
-    """Timed :func:`compress` → :func:`decompress` that checks
-    ``max|x - x'| <= e`` (with 1e-6 relative slack for the rounding of
-    ``e``); returns ``(blob, recon, compress_s, decompress_s)``."""
-    e = abs_bound(data, eps, mode)
+    """Timed :func:`compress` → :func:`decompress` under value-range bound
+    ``eps`` that checks ``max|x - x'| <= e`` (with 1e-6 relative slack for
+    the rounding of ``e``); returns ``(blob, recon, compress_s,
+    decompress_s)``."""
+    e = abs_bound(data, eps)
     t0 = time.perf_counter()
-    blob = compress(name, data, eps, mode, **kw)
+    blob = compress(name, data, eps, **kw)
     t1 = time.perf_counter()
     recon = decompress(blob)
     t2 = time.perf_counter()
