@@ -157,35 +157,39 @@ class _ErrProbe:
     def __init__(self, a: np.ndarray, cfg: EngineConfig, level: int) -> None:
         self.a = a
         self.cfg = cfg
-        self.level = level
         self.abs_err = 0.0
         self.count = 0
-        self.codes = np.full(a.shape, cfg.radius, dtype=np.int32)
+        n = interp.stream_size(a.shape, cfg, (level,))
+        self.stream = np.empty(n, dtype=np.int32)
 
-    def __call__(self, pred: np.ndarray, sel: tuple, e_l: float) -> np.ndarray:
-        truth = self.a[sel]
-        self.abs_err += float(np.abs(truth - pred).sum())
-        self.count += truth.size
-        q = np.rint((truth - pred) / (2.0 * e_l))
+    def __call__(
+        self, pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray
+    ) -> np.ndarray:
+        q = self.a[sel] - pred
+        self.abs_err += float(np.abs(q).sum())
+        self.count += q.size
+        q /= 2.0 * e_l
+        np.rint(q, out=q)
+        recon = q * (2.0 * e_l)
+        recon += pred
         r = self.cfg.radius
-        self.codes[sel] = np.clip(q, -r + 1, r - 1).astype(np.int32) + r
-        return pred + 2.0 * e_l * q
+        np.clip(q, -r + 1, r - 1, out=q)
+        np.add(q, r, out=out, casting="unsafe")
+        return recon
 
     def encoded_bytes(self) -> int:
         """Actual coded size of this level's codes under the real lossless
         stage (the LZ stage is order/run-sensitive, so marginal entropy
         would mis-rank configurations — measured, see DESIGN.md)."""
-        sels = [p.sel for p in interp.passes(self.a.shape, self.cfg, (self.level,))]
-        if not sels:
+        if not self.stream.size:
             return 0
-        stream = np.concatenate([self.codes[sl].ravel() for sl in sels])
-        return len(codes_mod.encode(stream, center=self.cfg.radius))
+        return len(codes_mod.encode(self.stream, center=self.cfg.radius))
 
 
 def _probe_level(a: np.ndarray, e: float, cfg: EngineConfig, level: int) -> _ErrProbe:
     """Run level ``level`` of the walk on ``a`` in place, under a probe."""
     probe = _ErrProbe(a, cfg, level)
-    interp._Walk(a, e, cfg, probe).run(levels=(level,))
+    interp._Walk(a, e, cfg, probe, probe.stream).run(levels=(level,))
     return probe
 
 
@@ -363,6 +367,10 @@ def tune_blocks(
     active = [d for d in range(data.ndim) if d not in frozen and shape[d] >= 8]
     if not active:
         return None
+    # sub-block selection per block, grouped by shape (edge blocks may be
+    # smaller) so each group is scored with one line_predict per spline
+    # and axis over the stacked sub-blocks
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple]]] = {}
     for bidx in np.ndindex(*nblocks):
         sel = []
         for d, bi in enumerate(bidx):
@@ -372,33 +380,40 @@ def tune_blocks(
             c = (lo + hi) // 2
             s0 = max(lo, min(c - w // 2, hi - w))
             sel.append(slice(s0, s0 + w))
-        blk = data[tuple(sel)].astype(np.float64)
-        errs = []
-        for name in opts.splines:
-            # Cost proxy: codes the quantizer would emit (nonzero bins are
-            # what the entropy stage pays for), abs error as tiebreak.
-            nz = 0
-            total = 0.0
+        bshape = tuple(sl.stop - sl.start for sl in sel)
+        groups.setdefault(bshape, []).append((bidx, tuple(sel)))
+    gi = opts.splines.index(global_spline) if global_spline in opts.splines else 0
+    for bshape, members in groups.items():
+        stack = np.stack([data[sel] for _, sel in members]).astype(np.float64)
+        # Cost proxy per block and spline: codes the quantizer would emit
+        # (nonzero bins are what the entropy stage pays for), abs error
+        # as tiebreak.
+        nz = np.zeros((len(members), len(opts.splines)), dtype=np.int64)
+        total = np.zeros(nz.shape)
+        for j, name in enumerate(opts.splines):
             for d in active:
-                if blk.shape[d] < 7:
+                tpos = range(3, bshape[d] - 3)
+                if not tpos:  # axis shorter than the 7-point stencil
                     continue
-                tpos = np.arange(3, blk.shape[d] - 3)
-                if tpos.size == 0:
-                    continue
-                pred = line_predict(blk, tpos, name, axis=d)
-                err = np.take(blk, tpos, axis=d) - pred
-                nz += int(np.count_nonzero(np.rint(err / (2.0 * e))))
-                total += float(np.abs(err).sum())
-            errs.append((nz, total))
-        gi = opts.splines.index(global_spline) if global_spline in opts.splines else 0
-        bi = min(range(len(errs)), key=lambda i: errs[i])
-        # Clean-data stride-1 probing is an optimistic proxy (real level-1
-        # neighbours carry reconstruction noise): only a decisive winner
-        # (<60 % of the global spline's cost) may override.
-        if errs[bi][0] >= 0.6 * errs[gi][0]:
-            bi = gi
-        # Map into the engine-global spline id space (interp.BLOCK_SPLINES).
-        cfg_map[bidx] = SPLINE_CHOICES.index(opts.splines[bi])
+                err = np.take(stack, tpos, axis=d + 1)
+                err -= line_predict(stack, tpos, name, axis=d + 1)
+                nz[:, j] += np.count_nonzero(
+                    np.rint(err / (2.0 * e)).reshape(len(members), -1), axis=1
+                )
+                np.abs(err, out=err)
+                # each block's sum over its own (contiguous) slice
+                total[:, j] += [blk.sum() for blk in err]
+        for k, (bidx, _) in enumerate(members):
+            bi = min(range(len(opts.splines)), key=lambda i: (nz[k, i], total[k, i]))
+            # Clean-data stride-1 probing is an optimistic proxy (real
+            # level-1 neighbours carry reconstruction noise): only a
+            # decisive winner (<60 % of the global spline's cost) may
+            # override.
+            if nz[k, bi] >= 0.6 * nz[k, gi]:
+                bi = gi
+            # Map into the engine-global spline id space
+            # (interp.BLOCK_SPLINES).
+            cfg_map[bidx] = SPLINE_CHOICES.index(opts.splines[bi])
     if np.unique(cfg_map).size == 1:
         return None  # uniform map == global config; skip the metadata
     return cfg_map
@@ -502,9 +517,12 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
     use_lorenzo = False
     if opts.lorenzo:
         try:
-            lbytes = sum(len(lorenzo.compress(b, e)) for b in blocks)
-            if lbytes * LORENZO_COEF < best_bytes:
-                use_lorenzo = True
+            lbytes = 0
+            for b in blocks:
+                lbytes += len(lorenzo.compress(b, e))
+                if lbytes * LORENZO_COEF >= best_bytes:
+                    break  # already lost: the other blocks only add bytes
+            use_lorenzo = lbytes * LORENZO_COEF < best_bytes
         except OverflowError:
             pass
 

@@ -46,25 +46,39 @@ def _width(nbytes: int) -> int:
     return next(w for w in (1, 2, 4, 8) if w >= nbytes)
 
 
+def _zigzag_max(lo: int, hi: int) -> int:
+    """Largest zigzag value of a stream whose values span ``[lo, hi]``
+    (zigzag grows with ``|v|`` on each side, so an end attains it)."""
+    return max(2 * v if v >= 0 else -2 * v - 1 for v in (lo, hi))
+
+
 def encode(codes: np.ndarray, center: int = 0) -> bytes:
-    """Encode an integer code stream; ``center`` is subtracted first."""
-    v = np.asarray(codes).ravel().astype(np.int64)
+    """Encode an integer code stream; ``center`` is subtracted first.
+
+    The zigzag runs in int32 when the stream, ``center`` and the
+    recentred values all fit, else in int64; both give the same bytes."""
+    v = np.asarray(codes).ravel()
     n = v.size
-    v -= center
     if n and n <= HUFFMAN_CUTOFF:
-        body = lossless.compress(huffman.encode(v))
+        body = lossless.compress(huffman.encode(v.astype(np.int64) - center))
         return _MAGIC_HF + struct.pack("<Qq", n, center) + body
-    z = ((v << 1) ^ (v >> 63)).view(np.uint64)  # zigzag
-    nbytes = 1
-    if n:
-        m = int(z.max())
-        while m >> (8 * nbytes):
-            nbytes += 1
+    vmin, vmax = (int(v.min()), int(v.max())) if n else (center, center)
+    lo, hi = vmin - center, vmax - center
+    nbytes = max(1, (_zigzag_max(lo, hi).bit_length() + 7) // 8)
+    i32 = np.iinfo(np.int32)
+    fits = i32.min <= min(vmin, lo, center) and max(vmax, hi, center) <= i32.max
+    bits = 32 if fits else 64
+    z = np.subtract(v, center, dtype=f"i{bits // 8}")
+    sign = z >> (bits - 1)
+    z <<= 1
+    z ^= sign  # zigzag
     w = _width(nbytes)
-    planes = z.astype(f"<u{w}").view(np.uint8).reshape(n, w)
+    planes = z.view(f"u{bits // 8}").astype(f"<u{w}", copy=False)
+    planes = planes.view(np.uint8).reshape(n, w)
     out = [_MAGIC_BP, struct.pack("<QqB", n, center, nbytes)]
     for b in range(nbytes):
-        blob = lossless.compress(planes[:, b].tobytes())
+        # a 1-byte plane is contiguous and goes to DEFLATE as is
+        blob = lossless.compress(planes[:, b] if w == 1 else planes[:, b].copy())
         out.append(struct.pack("<Q", len(blob)))
         out.append(blob)
     return b"".join(out)

@@ -14,6 +14,7 @@ from typing import Any
 import numpy as np
 
 _MAGIC = b"RPC1"
+_CORRUPT = "corrupt container"
 
 
 def pack(sections: list[tuple[str, bytes]]) -> bytes:
@@ -28,20 +29,29 @@ def pack(sections: list[tuple[str, bytes]]) -> bytes:
 
 
 def unpack(blob: bytes) -> dict[str, bytes]:
+    """Sections of a :func:`pack` blob. A header or section that runs
+    past the end of ``blob``, or bytes after the last section, raise
+    ``ValueError("corrupt container")``."""
     if blob[:4] != _MAGIC:
         raise ValueError("not a repro container")
-    (n,) = struct.unpack_from("<I", blob, 4)
-    off = 8
+    off = 4
+
+    def take(size: int) -> bytes:
+        nonlocal off
+        if off + size > len(blob):
+            raise ValueError(_CORRUPT)
+        off += size
+        return blob[off - size : off]
+
+    (n,) = struct.unpack("<I", take(4))
     out: dict[str, bytes] = {}
     for _ in range(n):
-        (nl,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + nl].decode()
-        off += nl
-        (dl,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        out[name] = blob[off : off + dl]
-        off += dl
+        (nl,) = struct.unpack("<H", take(2))
+        name = take(nl).decode()
+        (dl,) = struct.unpack("<Q", take(8))
+        out[name] = take(dl)
+    if off != len(blob):
+        raise ValueError(_CORRUPT)
     return out
 
 

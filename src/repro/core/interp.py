@@ -28,8 +28,9 @@ keeps every read *parity-safe*: the decompressor replays the identical
 walk on a NaN-initialized array and never reads an unwritten point.
 
 :func:`passes` is the one definition of this structure: the walk runs
-its passes, the code stream is serialized in its order, and the tuner's
-§6.2 probes run and score single levels of it.
+its passes, the code stream is laid out in its order (each pass owns the
+next ``Pass.size`` codes, C order over its targets), and the tuner's §6.2
+probes run and score single levels of it.
 
 ``fvfi=False`` (Table 6 ablation) runs each pass one position of the last,
 fastest-varying axis at a time — QoZ's traversal with poor memory
@@ -162,6 +163,11 @@ class Pass:
     lc: InterpConfig
     axes: tuple[int, ...]
     sel: tuple
+    shape: tuple[int, ...]  # of the targets, ``a[sel].shape``
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
 
 
 def passes(
@@ -204,15 +210,26 @@ def passes(
                 else slice(0, None, stride[ax]) if ax in stride else ALL
                 for ax in range(len(shape))
             )
-            yield Pass(l, lc, axes, sel)
+            yield Pass(
+                l, lc, axes, sel, tuple(len(range(n)[sl]) for n, sl in zip(shape, sel))
+            )
+
+
+def stream_size(
+    shape: tuple[int, ...], cfg: EngineConfig, levels: tuple[int, ...] | None = None
+) -> int:
+    """Number of codes the passes of ``levels`` (default: all) emit."""
+    return sum(p.size for p in passes(shape, cfg, levels))
 
 
 class _Walk:
     """Shared compress/decompress traversal.
 
-    ``qfun(pred, sel, e_l)`` quantizes (compress) or dequantizes
-    (decompress) the targets at selection ``sel`` and returns the
-    reconstruction, which the walk writes back into the working array.
+    ``codes`` is the code stream of the passes run, in pass order.
+    ``qfun(pred, sel, e_l, out)`` quantizes (compress) or dequantizes
+    (decompress) the targets at selection ``sel`` whose codes are the
+    stream view ``out`` and returns the reconstruction, which the walk
+    writes back into the working array.
     """
 
     def __init__(
@@ -220,12 +237,14 @@ class _Walk:
         a: np.ndarray,
         e: float,
         cfg: EngineConfig,
-        qfun: Callable[[np.ndarray, tuple, float], np.ndarray],
+        qfun: Callable[[np.ndarray, tuple, float, np.ndarray], np.ndarray],
+        codes: np.ndarray,
     ) -> None:
         self.a = a
         self.e = e
         self.cfg = cfg
         self.qfun = qfun
+        self.codes = codes
         self._used_splines = (
             [int(u) for u in np.unique(cfg.block_cfg)]
             if cfg.block_cfg is not None
@@ -235,50 +254,61 @@ class _Walk:
     def run(self, levels: tuple[int, ...] | None = None) -> None:
         """Run every pass of ``levels`` (default: all) in order."""
         last = self.a.ndim - 1
+        off = 0
         for p in passes(self.a.shape, self.cfg, levels):
+            chunk = self.codes[off : off + p.size].reshape(p.shape)
+            off += p.size
             if self.cfg.fvfi or last in p.axes:
-                self._run_pass(p, p.sel)
+                self._run_pass(p, p.sel, chunk)
                 continue
             # w/o FVFI (Table 6): QoZ's traversal, one position of the
             # fastest-varying axis at a time — same arithmetic, poor
             # memory locality; only the literal stream order changes.
-            for i in range(self.a.shape[last])[p.sel[last]]:
-                self._run_pass(p, _put(p.sel, last, slice(i, i + 1)))
+            for k, i in enumerate(range(self.a.shape[last])[p.sel[last]]):
+                self._run_pass(
+                    p, _put(p.sel, last, slice(i, i + 1)), chunk[..., k : k + 1]
+                )
 
-    def _run_pass(self, p: Pass, sel: tuple) -> None:
+    def _run_pass(self, p: Pass, sel: tuple, chunk: np.ndarray) -> None:
         s = 1 << (p.level - 1)
         e_l = self.e / min(self.cfg.alpha ** (p.level - 1), self.cfg.beta)
-        tpos = [np.arange(1, (self.a.shape[d] - 1) // s + 1, 2) for d in p.axes]
+        tpos = [range(1, (self.a.shape[d] - 1) // s + 1, 2) for d in p.axes]
         if (
             len(p.axes) == 1
             and p.lc.same_level
             and p.lc.spline != "linear"
-            and tpos[0].size > 1
+            and len(tpos[0]) > 1
         ):
             # §5.4.2: j = 1 (mod 4) inter-level, then j = 3 (mod 4) with the
-            # same-level stencil reading the phase-1 outputs
+            # same-level stencil reading the phase-1 outputs; the phases
+            # own the even and odd chunk positions along d
             d = p.axes[0]
             phases = [
-                (_put(sel, d, slice(s, None, 4 * s)), False, [tpos[0][0::2]]),
-                (_put(sel, d, slice(3 * s, None, 4 * s)), True, [tpos[0][1::2]]),
+                (
+                    _put(sel, d, slice((2 * h + 1) * s, None, 4 * s)),
+                    h == 1,
+                    [tpos[0][h::2]],
+                    chunk[(ALL,) * d + (slice(h, None, 2),)],
+                )
+                for h in (0, 1)
             ]
         else:
-            phases = [(sel, False, tpos)]
-        for sel_t, sl_phase, tp in phases:
+            phases = [(sel, False, tpos, chunk)]
+        for sel_t, sl_phase, tp, out in phases:
             pred = self._blend_blocks(
                 p,
                 sel_t,
                 sl_phase,
                 lambda st: self._predict(sel, p.axes, s, tp, st),
             )
-            self.a[sel_t] = self.qfun(pred, sel_t, e_l)
+            self.a[sel_t] = self.qfun(pred, sel_t, e_l, out)
 
     def _predict(
         self,
         sel: tuple,
         axes: tuple[int, ...],
         s: int,
-        tpos: list[np.ndarray],
+        tpos: list[range],
         stencil: str,
     ) -> np.ndarray:
         """1-D spline prediction along each axis of ``axes``, combined by
@@ -286,7 +316,7 @@ class _Walk:
         stencil gathers along its native axis ``d``; the combine
         accumulates in place, in axis order."""
 
-        def along(d: int, t: np.ndarray) -> np.ndarray:
+        def along(d: int, t: range) -> np.ndarray:
             v = self.a[_put(sel, d, slice(0, None, s))]
             return splines.line_predict(v, t, stencil, axis=d)
 
@@ -355,12 +385,13 @@ def compress(
     orig_dtype = data.dtype
     a = np.ascontiguousarray(data, dtype=np.float64)
     anchors = np.ascontiguousarray(data[_anchor_sel(a.shape, cfg)])
-    enc = QuantEncoder(a.shape, cfg.radius)
+    enc = QuantEncoder(cfg.radius)
+    stream = np.empty(stream_size(a.shape, cfg), dtype=np.int32)
 
-    def qfun(pred: np.ndarray, sel: tuple, e_l: float) -> np.ndarray:
-        return enc.quantize(pred, a[sel], e_l, sel)
+    def qfun(pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray) -> np.ndarray:
+        return enc.quantize(pred, a[sel], e_l, out)
 
-    _Walk(a, e, cfg, qfun).run()
+    _Walk(a, e, cfg, qfun, stream).run()
 
     meta = {
         "shape": list(data.shape),
@@ -368,12 +399,6 @@ def compress(
         "e": e,
         "cfg": cfg.to_dict(),
     }
-    sels = [p.sel for p in passes(data.shape, cfg)]
-    stream = (
-        np.concatenate([enc.codes[sl].ravel() for sl in sels])
-        if sels
-        else np.empty(0, dtype=np.int32)
-    )
     sections = [
         ("meta", container.json_section(meta)),
         ("anchors", container.array_section(anchors)),
@@ -412,20 +437,16 @@ def decompress(payload: bytes) -> np.ndarray:
         )
     else:
         lits = np.empty(0, dtype=np.float64)
-    codes_arr = np.zeros(shape, dtype=np.int32)
-    views = [codes_arr[p.sel] for p in passes(shape, cfg)]
-    if sum(view.size for view in views) != codes.size:
+    if codes.size != stream_size(shape, cfg):
         raise ValueError("quantization code stream size mismatch")
-    pos = 0
-    for view in views:
-        view[...] = codes[pos : pos + view.size].reshape(view.shape)
-        pos += view.size
-    dec = QuantDecoder(codes_arr, lits, cfg.radius)
+    if codes.size - np.count_nonzero(codes) != lits.size:
+        raise ValueError("literal count mismatch: zero codes vs literals")
+    dec = QuantDecoder(lits, cfg.radius)
     a = np.full(shape, np.nan, dtype=np.float64)
     a[_anchor_sel(shape, cfg)] = container.to_array(sec["anchors"]).astype(np.float64)
 
-    def qfun(pred: np.ndarray, sel: tuple, e_l: float) -> np.ndarray:
-        return dec.dequantize(pred, e_l, sel)
+    def qfun(pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray) -> np.ndarray:
+        return dec.dequantize(pred, e_l, out)
 
-    _Walk(a, e, cfg, qfun).run()
+    _Walk(a, e, cfg, qfun, codes).run()
     return a

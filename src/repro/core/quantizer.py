@@ -7,11 +7,12 @@ Codes are shifted by ``radius`` to be non-negative; code 0 is reserved
 for *unpredictable* points whose exact value is stored in a literal side
 stream (the SZ convention).
 
-Codes are scattered into an int32 array of the data's shape and
-serialized pass by pass, in the order of ``interp.passes`` (DESIGN.md
-§7). That order does not depend on same-level phase splits or on the
-fvfi traversal, so neither changes the encoded size.
-Unwritten positions (anchors) carry the neutral code ``radius`` (q=0).
+There is no grid of codes: the walk hands each call the int32 view of
+the serialized stream that its targets own, a reshaped chunk of one
+``interp.passes`` pass (or a phase / no-FVFI sub-view of it), so codes
+are written and read in pass order (DESIGN.md §7). That order does not
+depend on same-level phase splits or on the fvfi traversal, so neither
+changes the encoded size.
 """
 from __future__ import annotations
 
@@ -19,33 +20,43 @@ import numpy as np
 
 
 class QuantEncoder:
-    """Scatter-encoder: quantize per-pass prediction errors."""
+    """Quantize per-pass prediction errors into stream views."""
 
-    def __init__(self, shape: tuple[int, ...], radius: int = 32768) -> None:
+    def __init__(self, radius: int = 32768) -> None:
         self.radius = int(radius)
-        self.codes = np.full(shape, self.radius, dtype=np.int32)
         self._literals: list[np.ndarray] = []
 
     def quantize(
-        self, pred: np.ndarray, truth: np.ndarray, eb: float, sel: tuple
+        self, pred: np.ndarray, truth: np.ndarray, eb: float, out: np.ndarray
     ) -> np.ndarray:
-        """Quantize ``truth - pred`` under bound ``eb``; return the
-        reconstruction and record codes at ``sel``."""
-        err = truth - pred
-        q = np.rint(err / (2.0 * eb))
-        recon = pred + 2.0 * eb * q
+        """Quantize ``truth - pred`` under bound ``eb`` into the int32
+        view ``out`` (``truth``'s shape); return the reconstruction."""
+        q = truth - pred
+        q /= 2.0 * eb
+        np.rint(q, out=q)
+        recon = q * (2.0 * eb)
+        recon += pred
         # Outlier if the quantization index saturates or float rounding
-        # pushed the reconstruction out of bound.
-        bad = (np.abs(q) >= self.radius - 1) | (np.abs(truth - recon) > eb)
-        # clip before the int cast: saturated q may exceed int32
-        chunk = (np.clip(q, -self.radius, self.radius) + self.radius).astype(
-            np.int32
-        )
-        if bad.any():
-            chunk[bad] = 0
-            self._literals.append(np.ascontiguousarray(truth[bad]).ravel())
-            recon = np.where(bad, truth, recon)
-        self.codes[sel] = chunk
+        # pushed the reconstruction out of bound; the mask is only built
+        # when a reduction says there is one.
+        t = truth - recon
+        np.abs(t, out=t)
+        sat = self.radius - 1
+        if (
+            t.max(initial=0.0) > eb
+            or q.max(initial=0.0) >= sat
+            or q.min(initial=0.0) <= -sat
+        ):
+            bad = t > eb
+            np.abs(q, out=t)
+            bad |= t >= sat
+            # -radius shifts to the literal code 0 (and keeps a saturated
+            # q clear of the int32 cast)
+            q[bad] = -self.radius
+            lits = truth[bad]
+            recon[bad] = lits
+            self._literals.append(lits)
+        np.add(q, self.radius, out=out, casting="unsafe")
         return recon
 
     def literals(self) -> np.ndarray:
@@ -55,23 +66,25 @@ class QuantEncoder:
 
 
 class QuantDecoder:
-    """Decoder addressing the scattered code array by selection."""
+    """Dequantize stream views, consuming literals in walk order."""
 
-    def __init__(
-        self, codes: np.ndarray, literals: np.ndarray, radius: int = 32768
-    ) -> None:
+    def __init__(self, literals: np.ndarray, radius: int = 32768) -> None:
         self.radius = int(radius)
-        self.codes = codes
         self._literals = literals
         self._lit_pos = 0
 
-    def dequantize(self, pred: np.ndarray, eb: float, sel: tuple) -> np.ndarray:
-        chunk = self.codes[sel]
-        recon = pred + 2.0 * eb * (chunk.astype(np.float64) - self.radius)
-        bad = chunk == 0
-        nbad = int(bad.sum())
-        if nbad:
-            lits = self._literals[self._lit_pos : self._lit_pos + nbad]
-            self._lit_pos += nbad
-            recon[bad] = lits
+    def dequantize(self, pred: np.ndarray, eb: float, codes: np.ndarray) -> np.ndarray:
+        recon = np.empty(codes.shape)
+        np.subtract(codes, self.radius, out=recon)
+        recon *= 2.0 * eb
+        recon += pred
+        # once every literal is used no zero code is left (interp.decompress
+        # checks that the counts agree), so the mask is skipped
+        if self._lit_pos < self._literals.size:
+            bad = codes == 0
+            nbad = int(np.count_nonzero(bad))
+            if nbad:
+                lits = self._literals[self._lit_pos : self._lit_pos + nbad]
+                self._lit_pos += nbad
+                recon[bad] = lits
         return recon

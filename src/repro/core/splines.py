@@ -19,6 +19,8 @@ linear stencil on linear ones — properties pinned by unit tests.
 """
 from __future__ import annotations
 
+from functools import lru_cache, partial
+
 import numpy as np
 
 #: name -> tuple of (offset, weight) pairs, offsets in stride units.
@@ -44,8 +46,30 @@ SPLINE_CHOICES = ("linear", "cubic_nak", "cubic_nat")
 SAME_LEVEL_OF = {"cubic_nak": "cubic_nak_sl", "cubic_nat": "cubic_nat_sl"}
 
 
+def _neighbour(n1: int, t: np.ndarray, off: int) -> np.ndarray:
+    """Indices ``t + off`` on an axis of last index ``n1``, made
+    boundary-safe: an out-of-range index is mirrored about the target
+    and, failing that, clamped to an even (always-known) index."""
+    idx = t + off
+    oob = (idx < 0) | (idx > n1)
+    if oob.any():
+        idx = np.where(oob, t - off, idx)
+        oob = (idx < 0) | (idx > n1)
+        if oob.any():
+            idx = np.where(oob, np.clip(idx, 0, n1 - (n1 & 1)), idx)
+    return idx
+
+
+@lru_cache(maxsize=4096)
+def _range_neighbour(n1: int, tpos: range, off: int) -> np.ndarray:
+    """``_neighbour`` for a ``range`` of targets, cached (read-only)."""
+    idx = _neighbour(n1, np.arange(tpos.start, tpos.stop, tpos.step), off)
+    idx.flags.writeable = False
+    return idx
+
+
 def line_predict(
-    v: np.ndarray, tpos: np.ndarray, stencil: str, axis: int = -1
+    v: np.ndarray, tpos: range | np.ndarray, stencil: str, axis: int = -1
 ) -> np.ndarray:
     """Predict values at indices ``tpos`` along axis ``axis`` of ``v``.
 
@@ -56,24 +80,18 @@ def line_predict(
     ``len(tpos)``. An out-of-range neighbour is mirrored about the target
     and, failing that, clamped to an even (always-known) index: the
     parity-safe boundary rule that lets the decompressor replay the walk
-    without reading an unwritten point.
+    without reading an unwritten point. The walk and the tuner pass a
+    ``range``, whose neighbour indices are cached per (axis length,
+    target range, offset); array targets are computed on every call.
 
     Terms accumulate into one output buffer in stencil order (``w0*t0``,
     then ``+= w1*t1`` ...), the same arithmetic and order for every axis.
     """
     n1 = v.shape[axis] - 1
-    hi_even = n1 - (n1 & 1)
-
-    def neighbour(off: int) -> np.ndarray:
-        idx = tpos + off
-        oob = (idx < 0) | (idx > n1)
-        if oob.any():
-            idx = np.where(oob, tpos - off, idx)
-            oob = (idx < 0) | (idx > n1)
-            if oob.any():
-                idx = np.where(oob, np.clip(idx, 0, hi_even), idx)
-        return idx
-
+    if isinstance(tpos, range):
+        neighbour = partial(_range_neighbour, n1, tpos)
+    else:
+        neighbour = partial(_neighbour, n1, np.asarray(tpos))
     # indices are in range, so mode="clip" changes nothing but lets take
     # write straight into ``out`` (mode="raise" buffers it)
     (off0, w0), *rest = STENCILS[stencil]

@@ -138,3 +138,105 @@ def test_tuned_config_compresses_within_bound():
             continue
         blob, recon = interp.compress(f, e, res.cfg)
         assert np.abs(recon - f.astype(np.float64)).max() <= e * (1 + 1e-9)
+
+
+def test_lorenzo_test_stops_once_lost(monkeypatch):
+    """§6.5 stops encoding Lorenzo sample blocks once their running size
+    already loses; the result is the full evaluation's."""
+    from repro.core import lorenzo
+    from repro.datasets import generate
+
+    f = generate("CESM-ATM", "test")
+    e = 1e-3 * float(f.max() - f.min())
+    blocks = autotune.sample_blocks(f, autotune.TEST_TARGET)
+    orig = lorenzo.compress
+    calls = []
+
+    def counted(b, e):
+        calls.append(b.shape)
+        return orig(b, e)
+
+    monkeypatch.setattr(lorenzo, "compress", counted)
+    res = autotune.tune(f, e, TuneOptions())
+    monkeypatch.setattr(lorenzo, "compress", orig)
+    assert 0 < len(calls) < len(blocks)
+
+    # full evaluation: every block encoded, against the tuned crop size
+    ref = autotune.tune(f, e, TuneOptions(lorenzo=False))
+    crop_cfg = EngineConfig(**{**ref.cfg.__dict__, "block_cfg": None})
+    best_bytes, _ = autotune._crop_test(blocks, e, crop_cfg)
+    full = sum(len(orig(b, e)) for b in blocks)
+    assert full * autotune.LORENZO_COEF >= best_bytes
+    assert not res.use_lorenzo
+    assert res.sigma2 == ref.sigma2
+    assert res.cfg.to_dict() == ref.cfg.to_dict()
+    if ref.cfg.block_cfg is None:
+        assert res.cfg.block_cfg is None
+    else:
+        np.testing.assert_array_equal(res.cfg.block_cfg, ref.cfg.block_cfg)
+
+
+def _tune_blocks_per_block(data, opts, frozen, global_spline, e):
+    """Reference: §6.6 scored one sub-block at a time (the loop the
+    batched ``tune_blocks`` replaced); same arithmetic per block."""
+    from repro.core.splines import SPLINE_CHOICES, line_predict
+
+    B = opts.block_size
+    nblocks = tuple((n + B - 1) // B for n in data.shape)
+    if int(np.prod(nblocks)) <= 1:
+        return None
+    cfg_map = np.zeros(nblocks, dtype=np.uint8)
+    sub = max(7, int(round(B * 0.04 ** (1.0 / data.ndim))))
+    active = [d for d in range(data.ndim) if d not in frozen and data.shape[d] >= 8]
+    if not active:
+        return None
+    for bidx in np.ndindex(*nblocks):
+        sel = []
+        for d, bi in enumerate(bidx):
+            lo, hi = bi * B, min(bi * B + B, data.shape[d])
+            w = min(sub, hi - lo)
+            s0 = max(lo, min((lo + hi) // 2 - w // 2, hi - w))
+            sel.append(slice(s0, s0 + w))
+        blk = data[tuple(sel)].astype(np.float64)
+        errs = []
+        for name in opts.splines:
+            nz, total = 0, 0.0
+            for d in active:
+                if blk.shape[d] < 7:
+                    continue
+                tpos = np.arange(3, blk.shape[d] - 3)
+                if tpos.size == 0:
+                    continue
+                err = np.take(blk, tpos, axis=d) - line_predict(blk, tpos, name, axis=d)
+                nz += int(np.count_nonzero(np.rint(err / (2.0 * e))))
+                total += float(np.abs(err).sum())
+            errs.append((nz, total))
+        gi = opts.splines.index(global_spline) if global_spline in opts.splines else 0
+        bi = min(range(len(errs)), key=lambda i: errs[i])
+        if errs[bi][0] >= 0.6 * errs[gi][0]:
+            bi = gi
+        cfg_map[bidx] = SPLINE_CHOICES.index(opts.splines[bi])
+    return None if np.unique(cfg_map).size == 1 else cfg_map
+
+
+@pytest.mark.parametrize(
+    "shape, frozen",
+    [((70, 90), ()), ((40, 75, 66), ()), ((40, 75, 66), (0,)), ((300,), ())],
+)
+@pytest.mark.parametrize("global_spline", ["cubic_nak", "linear"])
+def test_tune_blocks_matches_per_block_loop(shape, frozen, global_spline):
+    """Scoring all same-shaped sub-blocks in one stack gives the map the
+    per-block loop gives, edge blocks of other shapes included."""
+    rng = np.random.default_rng(sum(shape))
+    g = np.ogrid[tuple(slice(0.0, 1.0, complex(0, n)) for n in shape)]
+    f = sum(np.sin(7.0 * np.pi * x) for x in g)
+    f = f + (rng.standard_normal(shape) * (g[-1] > 0.5)).astype(np.float64)
+    f = f.astype(np.float32)
+    opts = TuneOptions()
+    for e in (1e-3, 1e-2, 1e-1):
+        got = autotune.tune_blocks(f, opts, frozen, global_spline, e)
+        want = _tune_blocks_per_block(f, opts, frozen, global_spline, e)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)

@@ -30,20 +30,32 @@ def _uint64_plane_encode(codes_, center):
 #: largest zigzag value -> 1, 2, 3, 4, 5, 6, 7 and 8 byte planes
 _ZMAX = [2**8 - 1, 2**8, 2**16, 2**24, 2**32, 2**40, 2**48, 2**56]
 _CASES = [(n, None) for n in (0, 1, 10, 5000, 70000)] + [(5000, z) for z in _ZMAX]
+#: int32 streams: near the center, and spanning the whole int32 range so
+#: that the recentred values run just past it (center -5 or 32768) or
+#: reach its limits exactly (center 0)
+_CASES += [(70000, "i32"), (5000, "i32-full")]
+
+
+def _case_id(n, zmax):
+    if zmax is None:
+        return str(n)
+    return f"{n}-{zmax}" if isinstance(zmax, str) else f"{n}-z{zmax}"
 
 
 @pytest.mark.parametrize("center", [0, 32768, -5])
-@pytest.mark.parametrize(
-    "n, zmax",
-    _CASES,
-    ids=[str(n) if z is None else f"{n}-z{z}" for n, z in _CASES],
-)
+@pytest.mark.parametrize("n, zmax", _CASES, ids=[_case_id(n, z) for n, z in _CASES])
 def test_roundtrip(n, zmax, center):
     """Round trip, and byte-plane streams byte-equal to the reference
-    encoder at every plane width."""
+    encoder at every plane width, from int64 and int32 inputs."""
     rng = np.random.default_rng(n + 1)
+    i32 = np.iinfo(np.int32)
     if zmax is None:
         arr = rng.integers(center - 100, center + 100, n)
+    elif zmax == "i32":
+        arr = rng.integers(center - 100, center + 100, n).astype(np.int32)
+    elif zmax == "i32-full":
+        arr = rng.integers(i32.min, i32.max, n, dtype=np.int32, endpoint=True)
+        arr[:2] = i32.min, i32.max
     else:
         z = rng.integers(0, zmax + 1, n)
         z[n // 2] = zmax
@@ -51,8 +63,11 @@ def test_roundtrip(n, zmax, center):
     blob = codes.encode(arr, center=center)
     if blob[:4] == b"BP01":
         assert blob == _uint64_plane_encode(arr, center)
-    if zmax is not None:
+    if isinstance(zmax, int):
         assert blob[20] == (zmax.bit_length() + 7) // 8
+    if zmax == "i32-full":
+        # zigzag of i32.min - center needs a fifth plane unless center is 0
+        assert blob[20] == (4 if center == 0 else 5)
     out = codes.decode(blob)
     assert out.dtype == np.int64
     np.testing.assert_array_equal(out, arr)

@@ -45,3 +45,20 @@ def test_lossless_roundtrip():
 
 def test_lossless_empty():
     assert lossless.decompress(lossless.compress(b"")) == b""
+
+
+def test_unpack_rejects_truncated_blob():
+    """A blob cut anywhere — in a header, in a section, just short of its
+    end — raises the one documented error, not ``struct.error`` or a
+    zlib error from a short section."""
+    from repro import codecs
+    from repro.datasets import generate
+
+    f = generate("Miranda", "test")
+    blob = codecs.compress("hpez", f, 1e-3)
+    cuts = [5, 7, 8, 10, 30, 60, len(blob) // 2, len(blob) - 10, len(blob) - 1]
+    for cut in cuts:
+        with pytest.raises(ValueError, match="corrupt container"):
+            codecs.decompress(blob[:cut])
+    with pytest.raises(ValueError, match="corrupt container"):
+        container.unpack(blob + b"\0")

@@ -3,7 +3,7 @@ error bound, grid coverage, freezing, block configs, level error bounds."""
 import numpy as np
 import pytest
 
-from repro.core import codes, container, interp
+from repro.core import codes, container, interp, lossless
 from repro.core.interp import EngineConfig, InterpConfig, passes
 
 
@@ -232,3 +232,118 @@ def test_short_code_stream_rejected():
     sec["codes"] = codes.encode(stream[:-1], center=32768)
     with pytest.raises(ValueError, match="size mismatch"):
         interp.decompress(container.pack(list(sec.items())))
+
+
+def _tamper_literals(blob, edit):
+    sec = container.unpack(blob)
+    lits = container.to_array(lossless.decompress(sec["literals"]))
+    sec["literals"] = lossless.compress(container.array_section(edit(lits)))
+    return container.pack(list(sec.items()))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda l: np.append(l, l[:1]), lambda l: l[:-1]],
+    ids=["extra_literal", "missing_literal"],
+)
+def test_literal_count_checked(edit):
+    """The zero codes of the stream and the literals must match in
+    number; a surplus or a shortfall raises the documented error."""
+    f = _field((40, 40, 40), seed=12)
+    f[10, 11, 12] = 1e9
+    f[30, 5, 7] = -1e9
+    blob, recon = interp.compress(f, 1e-2, EngineConfig())
+    sec = container.unpack(blob)
+    lits = container.to_array(lossless.decompress(sec["literals"]))
+    assert lits.size >= 2  # the spikes and neighbours they throw off
+    np.testing.assert_array_equal(interp.decompress(blob), recon)
+    with pytest.raises(ValueError, match="literal count mismatch"):
+        interp.decompress(_tamper_literals(blob, edit))
+
+
+class _GridEncoder:
+    """The serializer before codes went straight into the stream: codes
+    scattered into an int32 grid of the data's shape by selection (the
+    same quantizer arithmetic), then gathered back pass by pass."""
+
+    def __init__(self, shape, radius):
+        self.radius = radius
+        self.codes = np.full(shape, radius, dtype=np.int32)
+        self.literals = []
+
+    def quantize(self, pred, truth, eb, sel):
+        q = np.rint((truth - pred) / (2.0 * eb))
+        recon = pred + 2.0 * eb * q
+        bad = (np.abs(q) >= self.radius - 1) | (np.abs(truth - recon) > eb)
+        chunk = np.clip(q, -self.radius, self.radius) + self.radius
+        chunk = chunk.astype(np.int32)
+        if bad.any():
+            chunk[bad] = 0
+            self.literals.append(truth[bad])
+            recon = np.where(bad, truth, recon)
+        self.codes[sel] = chunk
+        return recon
+
+    def stream(self, cfg):
+        sels = [p.sel for p in passes(self.codes.shape, cfg)]
+        if not sels:
+            return np.empty(0, dtype=np.int32)
+        return np.concatenate([self.codes[sl].ravel() for sl in sels])
+
+
+def _lc(paradigm, spline, same_level, dim_order=None):
+    return (InterpConfig(paradigm, spline, same_level, dim_order),)
+
+
+_REF_CASES = {
+    "1d-sl": ((97,), EngineConfig(level_configs=_lc("1d", "cubic_nat", True))),
+    "2d-md-sl": ((37, 41), EngineConfig(level_configs=_lc("md", "cubic_nak", True))),
+    "3d-1d-nofvfi": (
+        (19, 23, 17),
+        EngineConfig(level_configs=_lc("1d", "cubic_nat", True, (2, 0, 1)), fvfi=False),
+    ),
+    "3d-md-nofvfi-frozen": (
+        (19, 23, 17),
+        EngineConfig(
+            level_configs=_lc("md", "cubic_nak", True), fvfi=False, frozen_axes=(0,)
+        ),
+    ),
+    "4d-md": ((7, 9, 6, 10), EngineConfig(level_configs=_lc("md", "linear", False))),
+    "2d-blockmap-nofvfi": (
+        (40, 40),
+        EngineConfig(
+            block_size=32, block_cfg=np.array([[0, 1], [2, 1]], np.uint8), fvfi=False
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REF_CASES))
+@pytest.mark.parametrize("rel_eps", [1e-3, 1e-6])
+def test_stream_equals_scatter_gather_reference(case, rel_eps):
+    """Codes written straight into their pass's stream chunk give the
+    stream (and literals) the grid scatter→gather serializer gave."""
+    shape, cfg = _REF_CASES[case]
+    f = _field(shape, seed=len(shape))
+    if rel_eps < 1e-3:
+        f[(0,) * len(shape)] = 1e6  # the anchor sets the range
+        f[tuple(n // 2 + 1 for n in shape)] = -1e6  # a literal
+    e = rel_eps * float(f.max() - f.min())
+    blob, recon = interp.compress(f, e, cfg)
+    a = f.astype(np.float64)
+    ref = _GridEncoder(shape, cfg.radius)
+
+    def qfun(pred, sel, e_l, out):
+        return ref.quantize(pred, a[sel], e_l, sel)
+
+    unused = np.empty(interp.stream_size(shape, cfg), np.int32)
+    interp._Walk(a, e, cfg, qfun, unused).run()
+    sec = container.unpack(blob)
+    np.testing.assert_array_equal(codes.decode(sec["codes"]), ref.stream(cfg))
+    np.testing.assert_array_equal(a, recon)
+    if ref.literals:
+        lits = container.to_array(lossless.decompress(sec["literals"]))
+        want = np.concatenate(ref.literals).astype(f.dtype)
+        np.testing.assert_array_equal(lits, want)
+    else:
+        assert "literals" not in sec

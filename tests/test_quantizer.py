@@ -6,11 +6,11 @@ from repro.core.quantizer import QuantDecoder, QuantEncoder
 
 
 def _roundtrip(pred, truth, eb, radius=32768):
-    enc = QuantEncoder(truth.shape, radius)
-    sel = tuple(slice(None) for _ in truth.shape)
-    recon = enc.quantize(pred, truth, eb, sel)
-    dec = QuantDecoder(enc.codes, enc.literals(), radius)
-    recon2 = dec.dequantize(pred, eb, sel)
+    enc = QuantEncoder(radius)
+    codes = np.empty(truth.shape, dtype=np.int32)
+    recon = enc.quantize(pred, truth, eb, codes)
+    dec = QuantDecoder(enc.literals(), radius)
+    recon2 = dec.dequantize(pred, eb, codes)
     return recon, recon2
 
 
@@ -36,47 +36,57 @@ def test_outliers_roundtrip_exactly():
 
 def test_zero_error_gives_center_codes():
     truth = np.linspace(0, 1, 16)
-    enc = QuantEncoder(truth.shape)
-    enc.quantize(truth.copy(), truth, 1e-3, (slice(None),))
-    assert (enc.codes == enc.radius).all()
+    enc = QuantEncoder()
+    codes = np.empty(truth.shape, dtype=np.int32)
+    enc.quantize(truth.copy(), truth, 1e-3, codes)
+    assert (codes == enc.radius).all()
 
 
 def test_codes_scattered_by_selection():
+    """A call writes only the stream view it is given."""
     truth = np.arange(8, dtype=np.float64)
-    enc = QuantEncoder(truth.shape)
+    enc = QuantEncoder()
+    codes = np.full(truth.shape, enc.radius, dtype=np.int32)
     sel = (slice(1, None, 2),)
-    enc.quantize(np.zeros(4), truth[sel], 0.5, sel)
-    assert (enc.codes[0::2] == enc.radius).all()
-    assert (enc.codes[1::2] != enc.radius).any()
+    enc.quantize(np.zeros(4), truth[sel], 0.5, codes[sel])
+    assert (codes[0::2] == enc.radius).all()
+    assert (codes[1::2] != enc.radius).any()
 
 
 def test_decoder_consumes_literals_in_order():
     eb = 1e-9
     truth = np.array([10.0, 20.0, 30.0])
     pred = np.zeros(3)
-    enc = QuantEncoder(truth.shape, radius=4)
-    sel = (slice(None),)
-    enc.quantize(pred, truth, eb, sel)
-    dec = QuantDecoder(enc.codes, enc.literals(), radius=4)
-    out = dec.dequantize(pred, eb, sel)
+    enc = QuantEncoder(radius=4)
+    codes = np.empty(truth.shape, dtype=np.int32)
+    enc.quantize(pred, truth, eb, codes)
+    dec = QuantDecoder(enc.literals(), radius=4)
+    out = dec.dequantize(pred, eb, codes)
     np.testing.assert_array_equal(out, truth)
 
 
 @pytest.mark.parametrize("shape", [(7,), (5, 9), (4, 3, 6)])
 def test_multi_pass_scatter(shape):
-    """Several disjoint selections fill the code array consistently."""
+    """Several disjoint selections fill one pass-ordered stream
+    consistently: each owns the next chunk, reshaped to its targets."""
     rng = np.random.default_rng(2)
     truth = rng.standard_normal(shape)
     pred = np.zeros_like(truth)
     eb = 1e-2
-    enc = QuantEncoder(shape)
+    enc = QuantEncoder()
     sels = [
         tuple([slice(0, None, 2)] + [slice(None)] * (len(shape) - 1)),
         tuple([slice(1, None, 2)] + [slice(None)] * (len(shape) - 1)),
     ]
+    stream = np.empty(truth.size, dtype=np.int32)
+    chunks, off = [], 0
     for sel in sels:
-        enc.quantize(pred[sel], truth[sel], eb, sel)
-    dec = QuantDecoder(enc.codes, enc.literals())
-    for sel in sels:
-        out = dec.dequantize(pred[sel], eb, sel)
+        n = truth[sel].size
+        chunks.append(stream[off : off + n].reshape(truth[sel].shape))
+        off += n
+    for sel, chunk in zip(sels, chunks):
+        enc.quantize(pred[sel], truth[sel], eb, chunk)
+    dec = QuantDecoder(enc.literals())
+    for sel, chunk in zip(sels, chunks):
+        out = dec.dequantize(pred[sel], eb, chunk)
         assert np.abs(out - truth[sel]).max() <= eb
