@@ -26,7 +26,7 @@ paper does not specify QoZ's exact scoring function — see DESIGN.md).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -442,11 +442,9 @@ def _validate_blockcfg(data: np.ndarray, e: float, cfg: EngineConfig) -> bool:
         sel.append(slice(o, o + w))
         bsel.append(slice(o // B, (o + w + B - 1) // B))
     crop = np.ascontiguousarray(data[tuple(sel)])
-    sub = EngineConfig(**{**cfg.__dict__})
-    sub.block_cfg = np.ascontiguousarray(cfg.block_cfg[tuple(bsel)])
+    sub = replace(cfg, block_cfg=np.ascontiguousarray(cfg.block_cfg[tuple(bsel)]))
     with_map, _ = interp.compress(crop, e, sub)
-    sub.block_cfg = None
-    without, _ = interp.compress(crop, e, sub)
+    without, _ = interp.compress(crop, e, replace(sub, block_cfg=None))
     return len(with_map) < len(without)
 
 
@@ -481,18 +479,20 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
         # Reuse the globally tuned level configs (re-tuning under the
         # frozen geometry doubles tuning cost for marginal gain); only
         # drop the frozen axis from any explicit dim orders.
-        fcfg = EngineConfig(**{**cfg.__dict__})
-        fcfg.frozen_axes = (cand_axis,)
-        fcfg.level_configs = tuple(
-            InterpConfig(
-                c.paradigm,
-                c.spline,
-                c.same_level,
-                tuple(d for d in c.dim_order if d != cand_axis)
-                if c.dim_order
-                else None,
-            )
-            for c in cfg.level_configs
+        fcfg = replace(
+            cfg,
+            frozen_axes=(cand_axis,),
+            level_configs=tuple(
+                InterpConfig(
+                    c.paradigm,
+                    c.spline,
+                    c.same_level,
+                    tuple(d for d in c.dim_order if d != cand_axis)
+                    if c.dim_order
+                    else None,
+                )
+                for c in cfg.level_configs
+            ),
         )
         fbytes, fpsnr = _crop_test(blocks, e, fcfg)
         if _score(fbytes, fpsnr, crop_bytes, opts.target) > _score(
@@ -505,7 +505,7 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
     if opts.tune_eb:
         best = _score(best_bytes, best_psnr, crop_bytes, opts.target)
         for alpha, beta in EB_CANDIDATES[1:]:
-            trial = EngineConfig(**{**cfg.__dict__, "alpha": alpha, "beta": beta})
+            trial = replace(cfg, alpha=alpha, beta=beta)
             tbytes, tpsnr = _crop_test(blocks, e, trial)
             sc = _score(tbytes, tpsnr, crop_bytes, opts.target)
             if sc > best:

@@ -7,6 +7,8 @@ from the §7.1.3 value-range ``eps`` by ``codecs.abs_bound``).
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import autotune, container, interp, lorenzo
@@ -31,12 +33,10 @@ class PredictionCodec:
         ``fvfi`` override the preset's tuning options for this call."""
         data = np.asarray(data)
         opts = self.opts
-        if target is not None or fvfi is not None:
-            opts = TuneOptions(**{**opts.__dict__})
-            if target is not None:
-                opts.target = target
-            if fvfi is not None:
-                opts.fvfi = fvfi
+        if target is not None:
+            opts = replace(opts, target=target)
+        if fvfi is not None:
+            opts = replace(opts, fvfi=fvfi)
         result = autotune.tune(data, e, opts)
         if result.use_lorenzo:
             inner = lorenzo.compress(data, e)

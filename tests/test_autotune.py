@@ -1,10 +1,12 @@
 """Auto-tuning module tests (paper §6, Fig. 7)."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import autotune, interp
 from repro.core.autotune import TuneOptions
-from repro.core.interp import EngineConfig, InterpConfig
+from repro.core.interp import InterpConfig
 
 
 def _freeze_friendly(shape=(10, 48, 48), seed=0):
@@ -51,9 +53,7 @@ def test_freezing_actually_helps_here():
     e = 1e-3 * float(f.max() - f.min())
     res = autotune.tune(f, e, TuneOptions())
     frozen_cfg = res.cfg
-    unfrozen = EngineConfig(**{**frozen_cfg.__dict__})
-    unfrozen.frozen_axes = ()
-    unfrozen.block_cfg = None
+    unfrozen = replace(frozen_cfg, frozen_axes=(), block_cfg=None)
     b_frozen, _ = interp.compress(f, e, frozen_cfg)
     b_unfrozen, _ = interp.compress(f, e, unfrozen)
     assert len(b_frozen) < len(b_unfrozen)
@@ -163,7 +163,7 @@ def test_lorenzo_test_stops_once_lost(monkeypatch):
 
     # full evaluation: every block encoded, against the tuned crop size
     ref = autotune.tune(f, e, TuneOptions(lorenzo=False))
-    crop_cfg = EngineConfig(**{**ref.cfg.__dict__, "block_cfg": None})
+    crop_cfg = replace(ref.cfg, block_cfg=None)
     best_bytes, _ = autotune._crop_test(blocks, e, crop_cfg)
     full = sum(len(orig(b, e)) for b in blocks)
     assert full * autotune.LORENZO_COEF >= best_bytes
