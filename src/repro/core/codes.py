@@ -1,9 +1,9 @@
-"""Bulk coder for quantization-code streams (paper §4 steps 4-5).
+"""Coder for quantization-code streams (paper §4 steps 4-5).
 
 The paper pipes quantization codes through Huffman then Zstd. A pure-
 Python sequential Huffman *decode* of 10^6-10^8 symbols would dominate
-every speed table, so bulk streams use an equivalent-entropy scheme that
-is fully vectorized both ways:
+every speed table, so every stream, whatever its length, uses an
+equivalent-entropy scheme that is fully vectorized both ways:
 
 * recenter codes around the quantizer radius (small signed ints),
 * zigzag-map to unsigned,
@@ -20,10 +20,9 @@ inflates to exactly ``n`` bytes. Both directions work on an ``(n, w)``
 uint8 view of the narrowest unsigned dtype of ``w`` in {1, 2, 4, 8}
 bytes that holds ``nbytes`` planes: column ``b`` is plane ``b``.
 
-Streams below ``HUFFMAN_CUTOFF`` symbols use the real from-scratch
-canonical Huffman codec + DEFLATE, exercising the paper's exact pipeline.
-A ratio-parity test in ``tests/test_codes.py`` pins the two schemes
-within a few percent of each other.
+A test in ``tests/test_codes.py`` pins the coded size of SZ-style
+quantization codes within 25 % of their marginal-entropy floor, the
+size no Huffman code can beat.
 """
 from __future__ import annotations
 
@@ -31,12 +30,9 @@ import struct
 
 import numpy as np
 
-from . import huffman, lossless
+from . import lossless
 
 _MAGIC_BP = b"BP01"
-_MAGIC_HF = b"CH01"
-
-HUFFMAN_CUTOFF = 4096
 
 _CORRUPT = "corrupt code-stream blob"
 
@@ -59,9 +55,6 @@ def encode(codes: np.ndarray, center: int = 0) -> bytes:
     recentred values all fit, else in int64; both give the same bytes."""
     v = np.asarray(codes).ravel()
     n = v.size
-    if n and n <= HUFFMAN_CUTOFF:
-        body = lossless.compress(huffman.encode(v.astype(np.int64) - center))
-        return _MAGIC_HF + struct.pack("<Qq", n, center) + body
     vmin, vmax = (int(v.min()), int(v.max())) if n else (center, center)
     lo, hi = vmin - center, vmax - center
     nbytes = max(1, (_zigzag_max(lo, hi).bit_length() + 7) // 8)
@@ -87,16 +80,14 @@ def encode(codes: np.ndarray, center: int = 0) -> bytes:
 def decode(blob: bytes) -> np.ndarray:
     """Decode back to int64 codes (center re-added).
 
-    A byte-plane header that disagrees with its planes (plane count
-    outside 1-8, a plane not ``n`` bytes long, trailing bytes) raises
-    ``ValueError`` before anything sized by ``n`` is allocated."""
-    magic = blob[:4]
-    if magic == _MAGIC_HF:
-        n, center = struct.unpack_from("<Qq", blob, 4)
-        syms = huffman.decode(lossless.decompress(blob[4 + 16 :]))
-        return syms + center
-    if magic != _MAGIC_BP:
+    A byte-plane header that is cut short or disagrees with its planes
+    (plane count outside 1-8, a plane not ``n`` bytes long, trailing
+    bytes) raises ``ValueError`` before anything sized by ``n`` is
+    allocated."""
+    if blob[:4] != _MAGIC_BP:
         raise ValueError("unknown code-stream blob")
+    if len(blob) < 4 + 17:
+        raise ValueError(_CORRUPT)
     n, center, nbytes = struct.unpack_from("<QqB", blob, 4)
     if not 1 <= nbytes <= 8:
         raise ValueError(_CORRUPT)

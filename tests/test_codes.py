@@ -1,4 +1,4 @@
-"""Bulk quantization-code coder tests (byte-plane + Huffman paths)."""
+"""Quantization-code coder tests (byte-plane + DEFLATE)."""
 import struct
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import codes, huffman, lossless
+from repro.core import codes, lossless
 
 
 def _uint64_plane_encode(codes_, center):
@@ -45,8 +45,8 @@ def _case_id(n, zmax):
 @pytest.mark.parametrize("center", [0, 32768, -5])
 @pytest.mark.parametrize("n, zmax", _CASES, ids=[_case_id(n, z) for n, z in _CASES])
 def test_roundtrip(n, zmax, center):
-    """Round trip, and byte-plane streams byte-equal to the reference
-    encoder at every plane width, from int64 and int32 inputs."""
+    """Round trip, and streams byte-equal to the reference encoder at
+    every plane width, from int64 and int32 inputs."""
     rng = np.random.default_rng(n + 1)
     i32 = np.iinfo(np.int32)
     if zmax is None:
@@ -61,8 +61,7 @@ def test_roundtrip(n, zmax, center):
         z[n // 2] = zmax
         arr = ((z >> 1) ^ -(z & 1)) + center  # un-zigzag
     blob = codes.encode(arr, center=center)
-    if blob[:4] == b"BP01":
-        assert blob == _uint64_plane_encode(arr, center)
+    assert blob == _uint64_plane_encode(arr, center)
     if isinstance(zmax, int):
         assert blob[20] == (zmax.bit_length() + 7) // 8
     if zmax == "i32-full":
@@ -73,10 +72,12 @@ def test_roundtrip(n, zmax, center):
     np.testing.assert_array_equal(out, arr)
 
 
-def test_small_stream_uses_huffman():
-    arr = np.arange(100)
+@pytest.mark.parametrize("n", [100, 1, 0])
+def test_small_stream_uses_byteplanes(n):
+    arr = np.arange(n)
     blob = codes.encode(arr)
-    assert blob[:4] == b"CH01"
+    assert blob[:4] == b"BP01"
+    np.testing.assert_array_equal(codes.decode(blob), arr)
 
 
 def test_large_stream_uses_byteplanes():
@@ -92,15 +93,18 @@ def test_concentrated_codes_compress_well():
     assert len(blob) * 8 / arr.size < 3.5  # ~2.8 bits marginal entropy
 
 
-def test_ratio_parity_huffman_vs_byteplane():
-    """The byte-plane path stands in for Huffman+Zstd on bulk streams
-    (DESIGN.md §2); their sizes must stay within ~25 % on SZ-style
-    quantization codes."""
+def test_ratio_parity_entropy_floor_vs_byteplane():
+    """The byte-plane path stands in for Huffman+Zstd (DESIGN.md §2). No
+    symbol-wise code beats the marginal-entropy floor ``n*H`` bits, and
+    on SZ-style quantization codes the byte planes stay within 25 % of
+    it."""
     rng = np.random.default_rng(1)
     sym = np.rint(rng.standard_normal(40000) * 2.0).astype(np.int64)
-    hf = len(lossless.compress(huffman.encode(sym)))
+    _, counts = np.unique(sym, return_counts=True)
+    p = counts / sym.size
+    floor = sym.size * float(-(p * np.log2(p)).sum()) / 8
     bp = len(codes.encode(sym, center=0))
-    assert bp < hf * 1.25
+    assert bp < floor * 1.25
 
 
 def test_negative_values():
@@ -128,6 +132,14 @@ def test_rejects_garbage():
         codes.decode(b"XXXXrest")
 
 
+def test_rejects_retired_huffman_blob():
+    """``CH01``, the canonical-Huffman stream format of small streams,
+    is no longer written or read."""
+    blob = b"CH01" + struct.pack("<Qq", 3, 0) + lossless.compress(b"\0" * 8)
+    with pytest.raises(ValueError, match="unknown code-stream blob"):
+        codes.decode(blob)
+
+
 def _byteplane_blob():
     return codes.encode(np.arange(-3000, 3000), center=0)  # 2 planes
 
@@ -140,8 +152,9 @@ def _byteplane_blob():
         lambda b: b[:20] + bytes([3]) + b[21:],  # a plane missing at the end
         lambda b: b[:4] + struct.pack("<Q", 6001) + b[12:],  # n != plane size
         lambda b: b + b"\0",  # bytes after the last plane
+        lambda b: b[:12],  # header cut short
     ],
-    ids=["nbytes9", "nbytes0", "missing_plane", "wrong_n", "trailing"],
+    ids=["nbytes9", "nbytes0", "missing_plane", "wrong_n", "trailing", "short_header"],
 )
 def test_rejects_corrupt_byteplane_header(damage):
     with pytest.raises(ValueError, match="corrupt code-stream blob"):
