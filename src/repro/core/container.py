@@ -8,6 +8,7 @@ data; small config dicts are serialized as UTF-8 JSON sections).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Any
 
@@ -15,6 +16,7 @@ import numpy as np
 
 _MAGIC = b"RPC1"
 _CORRUPT = "corrupt container"
+_CORRUPT_ARRAY = "corrupt array section"
 
 
 def pack(sections: list[tuple[str, bytes]]) -> bytes:
@@ -72,11 +74,21 @@ def array_section(a: np.ndarray) -> bytes:
 
 
 def to_array(data: bytes) -> np.ndarray:
-    (dl,) = struct.unpack_from("<B", data, 0)
-    dt = np.dtype(data[1 : 1 + dl].decode())
-    off = 1 + dl
-    (nd,) = struct.unpack_from("<B", data, off)
-    off += 1
-    shape = struct.unpack_from(f"<{nd}q", data, off)
-    off += 8 * nd
+    """Array of an :func:`array_section` blob. A header cut short, a
+    dtype that is not bool, int, uint or float, or a shape whose byte
+    size is not the data length raise ``ValueError("corrupt array section")``."""
+    try:
+        dl = data[0]
+        dt = np.dtype(data[1 : 1 + dl].decode())
+        nd = data[1 + dl]
+        shape = struct.unpack_from(f"<{nd}q", data, 2 + dl)
+    except (IndexError, TypeError, ValueError, struct.error) as exc:
+        raise ValueError(_CORRUPT_ARRAY) from exc
+    off = 2 + dl + 8 * nd
+    if (
+        dt.kind not in "biuf"
+        or min(shape, default=0) < 0
+        or math.prod(shape) * dt.itemsize != len(data) - off
+    ):
+        raise ValueError(_CORRUPT_ARRAY)
     return np.frombuffer(data, dtype=dt, offset=off).reshape(shape).copy()

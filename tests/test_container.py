@@ -1,4 +1,6 @@
 """Container / serialization tests."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,44 @@ def test_array_section_roundtrip(arr):
     assert out.dtype == arr.dtype
     assert out.shape == arr.shape
     np.testing.assert_array_equal(out, arr)
+
+
+def _int_section(dtype=b"<i4", shape=(2, 3), data=None):
+    """An :func:`container.array_section` blob with its header fields
+    given one by one, so that each can be damaged."""
+    body = np.arange(6, dtype="<i4").tobytes() if data is None else data
+    hdr = struct.pack("<B", len(dtype)) + dtype + struct.pack("<B", len(shape))
+    return hdr + struct.pack(f"<{len(shape)}q", *shape) + body
+
+
+def test_int_section_matches_array_section():
+    arr = np.arange(6, dtype="<i4").reshape(2, 3)
+    assert _int_section() == container.array_section(arr)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"",
+        _int_section()[:3],  # cut inside the dtype string
+        _int_section()[:4],  # cut before the dimension count
+        _int_section()[:10],  # cut inside the shape
+        _int_section(dtype=b"<zz"),  # not a dtype
+        _int_section(dtype=b"|O8"),  # a dtype, but not bool/int/uint/float
+        _int_section(dtype=b"<\xff4"),  # not ASCII
+        _int_section(shape=(2, 4)),  # more elements than data
+        _int_section(shape=(-2, -3)),  # negative extents
+        _int_section(data=np.arange(6, dtype="<i4").tobytes()[:-1]),  # short data
+        _int_section() + b"\0",  # bytes after the data
+    ],
+    ids=[
+        "empty", "cut_dtype", "cut_ndim", "cut_shape", "dtype_zz", "dtype_object",
+        "dtype_bytes", "shape_too_big", "shape_negative", "data_short", "trailing",
+    ],
+)
+def test_to_array_rejects_damaged_section(blob):
+    with pytest.raises(ValueError, match="corrupt array section"):
+        container.to_array(blob)
 
 
 def test_lossless_roundtrip():
