@@ -6,13 +6,15 @@ Run from the root of the repository::
         --claim large-fields:hpez.compress_mbps --parent-commit <sha> \\
         --desc "what the change does"
 
-The workloads and the run length come from the change's
-``BENCHMARK.json``. For every workload and seed in ``SEEDS``, one *pair*
-runs ``perfbench/run.py --trace 0`` once in each checkout, alternating
-which side goes first (the parent on the 1st, 3rd, ... pair).
-``HELD_OUT_SEED`` gives one more pair per workload, and ``TRACED_SEED``
-(the seed the change was profiled on while it was written) one
-``--trace 1`` pair of the claimed workload. Nothing is reused between
+``--claim`` is left out for a change that claims no gain.
+
+The workloads, the run length and each end-to-end metric's ``bound``
+come from the change's ``BENCHMARK.json``. For every workload and seed
+in ``SEEDS``, one *pair* runs ``perfbench/run.py --trace 0`` once in
+each checkout, alternating which side goes first (the parent on the 1st,
+3rd, ... pair). ``HELD_OUT_SEED`` gives one more pair per workload, and
+``TRACED_SEED`` (the seed the change was profiled on while it was
+written) one ``--trace 1`` pair per workload. Nothing is reused between
 invocations: every figure in ``--out`` comes from this one run, and
 ``trees`` records a digest of each checkout's ``src/`` and
 ``perfbench/``.
@@ -21,10 +23,12 @@ The summary (``--out``) follows ``BENCH_3.json``: per workload and
 end-to-end metric the parent's and the change's median, quartiles
 (``numpy.percentile`` 25/75) and per-run values, how many pairs the
 change wins (reads better, by the metric's ``better`` in
-``BENCHMARK.json``), the parent's IQR, whether the payload fingerprints
-of every pair are equal, and the claim: met when the change wins at
-least 9 of at least 10 pairs, the median gap exceeds the parent's IQR
-and the held-out pair gains.
+``BENCHMARK.json``), the parent's IQR, a verdict against the metric's
+``bound`` (see :func:`verdict`), whether the payload fingerprints of
+every pair are equal, and the claim (``null`` without ``--claim``): met
+when the change wins at least 9 of at least 10 pairs, the median gap
+exceeds the parent's IQR and the held-out pair gains. The exit status
+is non-zero when any verdict is ``worse`` or a claim is not met.
 """
 from __future__ import annotations
 
@@ -65,7 +69,23 @@ def quartiles(xs: list[float]) -> dict:
             "runs": [round(x, 4) for x in xs]}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(stats: dict, sign: float, bound: float) -> str:
+    """``worse`` when the change's median reads worse than the parent's
+    by more than ``bound`` times the parent's median; else
+    ``unresolved`` when either side's IQR exceeds that margin, unless
+    every change run reads better than every parent run; else ``ok``."""
+    par, chg = stats["parent"], stats["change"]
+    margin = bound * abs(par["median"])
+    if sign * (chg["median"] - par["median"]) < -margin:
+        return "worse"
+    spread = max(s["q3"] - s["q1"] for s in (par, chg))
+    separated = min(sign * c for c in chg["runs"]) > max(sign * p for p in par["runs"])
+    if spread > margin and not separated:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per-metric statistics over the pairs of one workload."""
     metrics = {}
     for name, direction in better.items():
@@ -82,6 +102,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                 if stats["parent"]["median"] else float("nan")
             ),
             "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+            "bound": bounds[name],
+            "verdict": verdict(stats, sign, bounds[name]),
         }
     return metrics
 
@@ -106,16 +128,17 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
+    p.add_argument("--claim", help="WORKLOAD:METRIC; leave out to claim no gain")
     p.add_argument("--parent-commit", required=True)
     p.add_argument("--desc", required=True)
     args = p.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
-    cw, cm = args.claim.split(":")
+    claimed = args.claim.split(":") if args.claim else None
 
     def pair(workload: str, seed: int, trace: int, parent_first: bool) -> dict:
         out = {}
@@ -135,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             "seeds": SEEDS,
             "n_pairs": len(pairs),
             "correct": all(q[s]["correct"] for q in pairs for s in SIDES),
-            "metrics": summarize(pairs, better),
+            "metrics": summarize(pairs, better, bounds),
         }
         h = pair(workload, HELD_OUT_SEED, 0, True)
         held_out[workload] = {
@@ -145,32 +168,40 @@ def main(argv: list[str] | None = None) -> int:
         }
         fp_equal[workload] = all(fingerprints_equal(q) for q in pairs + [h])
 
-    t = pair(cw, TRACED_SEED, 1, True)
-    traced = {cw: {
-        "seed": TRACED_SEED,
-        **{m: {s: t[s]["metrics"][m] for s in SIDES} for m in t["change"]["metrics"]},
-    }}
+    traced = {}
+    for workload in workloads:
+        t = pair(workload, TRACED_SEED, 1, True)
+        traced[workload] = {
+            "seed": TRACED_SEED,
+            **{m: {s: t[s]["metrics"][m] for s in SIDES} for m in t["change"]["metrics"]},
+        }
 
-    c = end_to_end[cw]["metrics"][cm]
-    sign = 1.0 if better[cm] == "higher" else -1.0
-    gap = sign * (c["change"]["median"] - c["parent"]["median"])
-    claim = {
-        "metric": cm,
-        "workload": cw,
-        "parent_median": c["parent"]["median"],
-        "change_median": c["change"]["median"],
-        "parent_iqr": c["parent_iqr"],
-        "median_gap": gap,
-        "change_wins": c["change_wins"],
-        "pairs": end_to_end[cw]["n_pairs"],
-        "held_out_gain": sign * (held_out[cw][cm]["change"] - held_out[cw][cm]["parent"]),
+    claim = None
+    if claimed:
+        cw, cm = claimed
+        c = end_to_end[cw]["metrics"][cm]
+        sign = 1.0 if better[cm] == "higher" else -1.0
+        gap = sign * (c["change"]["median"] - c["parent"]["median"])
+        claim = {
+            "metric": cm,
+            "workload": cw,
+            "parent_median": c["parent"]["median"],
+            "change_median": c["change"]["median"],
+            "parent_iqr": c["parent_iqr"],
+            "median_gap": gap,
+            "change_wins": c["change_wins"],
+            "pairs": end_to_end[cw]["n_pairs"],
+            "held_out_gain": sign * (held_out[cw][cm]["change"] - held_out[cw][cm]["parent"]),
+        }
+        claim["met"] = (
+            claim["pairs"] >= 10
+            and c["change_wins"] >= 0.9 * claim["pairs"]
+            and gap > c["parent_iqr"]
+            and claim["held_out_gain"] > 0
+        )
+    verdicts = {
+        w: {m: v["verdict"] for m, v in end_to_end[w]["metrics"].items()} for w in workloads
     }
-    claim["met"] = (
-        claim["pairs"] >= 10
-        and c["change_wins"] >= 0.9 * claim["pairs"]
-        and gap > c["parent_iqr"]
-        and claim["held_out_gain"] > 0
-    )
     summary = {
         "change": args.desc,
         "parent_commit": args.parent_commit,
@@ -187,6 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed_used_while_writing": TRACED_SEED,
         "held_out_seed": HELD_OUT_SEED,
         "claim": claim,
+        "verdicts": verdicts,
         "end_to_end": end_to_end,
         "held_out": held_out,
         "payload_fingerprints_equal": fp_equal,
@@ -194,8 +226,9 @@ def main(argv: list[str] | None = None) -> int:
         "machine": t["change"]["machine"],
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
-    print(json.dumps(claim))
-    return 0 if claim["met"] else 1
+    print(json.dumps({"claim": claim, "verdicts": verdicts}))
+    worse = any(v == "worse" for w in verdicts.values() for v in w.values())
+    return 1 if worse or (claim is not None and not claim["met"]) else 0
 
 
 if __name__ == "__main__":
