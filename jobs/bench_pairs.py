@@ -25,10 +25,12 @@ end-to-end metric the parent's and the change's median, quartiles
 change wins (reads better, by the metric's ``better`` in
 ``BENCHMARK.json``), the parent's IQR, a verdict against the metric's
 ``bound`` (see :func:`verdict`), whether the payload fingerprints of
-every pair are equal, and the claim (``null`` without ``--claim``): met
-when the change wins at least 9 of at least 10 pairs, the median gap
-exceeds the parent's IQR and the held-out pair gains. The exit status
-is non-zero when any verdict is ``worse`` or a claim is not met.
+every pair are equal, whether every run (pairs, held-out and traced)
+reported ``correct``, and the claim (``null`` without ``--claim``): met
+when every run is correct, the change wins at least 9 of at least 10
+pairs, the median gap exceeds the parent's IQR and the held-out pair
+gains. The exit status is non-zero when any run is not correct, any
+verdict is ``worse`` or a claim is not met.
 """
 from __future__ import annotations
 
@@ -140,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     claimed = args.claim.split(":") if args.claim else None
 
+    incorrect: list[str] = []
+
     def pair(workload: str, seed: int, trace: int, parent_first: bool) -> dict:
         out = {}
         for side in SIDES if parent_first else SIDES[::-1]:
@@ -148,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload}/{seed}/{trace}/{side}",
                   json.dumps({k: round(v, 3) for k, v in run["metrics"].items()
                               if k in better}), flush=True)
+            if not run["correct"]:
+                incorrect.append(f"{workload}/{seed}/{trace}/{side}")
             out[side] = run
         return out
 
@@ -194,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
             "held_out_gain": sign * (held_out[cw][cm]["change"] - held_out[cw][cm]["parent"]),
         }
         claim["met"] = (
-            claim["pairs"] >= 10
+            not incorrect
+            and claim["pairs"] >= 10
             and c["change_wins"] >= 0.9 * claim["pairs"]
             and gap > c["parent_iqr"]
             and claim["held_out_gain"] > 0
@@ -218,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed_used_while_writing": TRACED_SEED,
         "held_out_seed": HELD_OUT_SEED,
         "claim": claim,
+        "incorrect_runs": incorrect,
         "verdicts": verdicts,
         "end_to_end": end_to_end,
         "held_out": held_out,
@@ -226,9 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         "machine": t["change"]["machine"],
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
-    print(json.dumps({"claim": claim, "verdicts": verdicts}))
+    print(json.dumps({"claim": claim, "incorrect_runs": incorrect, "verdicts": verdicts}))
     worse = any(v == "worse" for w in verdicts.values() for v in w.values())
-    return 1 if worse or (claim is not None and not claim["met"]) else 0
+    return 1 if incorrect or worse or (claim is not None and not claim["met"]) else 0
 
 
 if __name__ == "__main__":

@@ -6,10 +6,9 @@ Pipeline (each step optional, controlled by the preset in hpez/qoz/sz3):
    MSE on ~0.2 % uniformly sampled points → the sigma_i^2 estimates of
    Eq. 12 and the most non-smooth axis for dimension freezing.
 2. **Global interpolation tuning** (§6.2): per level, pick the
-   (paradigm, spline, same-level, dim-order) that minimizes the estimated
-   quantization-code entropy (tie-broken by mean absolute prediction
-   error — the paper's criterion; entropy is what the Huffman stage
-   actually pays for) on sampled blocks spread across the input.
+   (paradigm, spline, same-level, dim-order) whose level codes cost the
+   fewest coded bytes per point on sampled blocks spread across the
+   input; a challenger must beat the incumbent by a selection margin.
 3. **Dynamic dimension freezing** (§6.3): compression tests on the crop
    with/without freezing the most non-smooth axis; keep the better ratio.
 4. **Error-bound tuning** (§6.4, Eq. 15): crop compression tests over an
@@ -27,7 +26,6 @@ paper does not specify QoZ's exact scoring function — see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
 
 import numpy as np
 
@@ -148,7 +146,7 @@ def sample_blocks(
 # §6.2 global interpolation tuning
 # ---------------------------------------------------------------------------
 class _ErrProbe:
-    """qfun for the §6.2 compression tests: accumulates |pred - truth| and
+    """qfun for the §6.2 compression tests: counts the points and
     writes the *quantized* reconstruction back, so configurations whose
     same-level neighbours carry quantization noise are scored honestly.
     Points of higher levels hold original values (each level is probed
@@ -157,7 +155,6 @@ class _ErrProbe:
     def __init__(self, a: np.ndarray, cfg: EngineConfig, level: int) -> None:
         self.a = a
         self.cfg = cfg
-        self.abs_err = 0.0
         self.count = 0
         n = interp.stream_size(a.shape, cfg, (level,))
         self.stream = np.empty(n, dtype=np.int32)
@@ -166,7 +163,6 @@ class _ErrProbe:
         self, pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray
     ) -> np.ndarray:
         q = self.a[sel] - pred
-        self.abs_err += float(np.abs(q).sum())
         self.count += q.size
         q /= 2.0 * e_l
         np.rint(q, out=q)
@@ -261,7 +257,7 @@ def tune_global_interp(
             for a in states:
                 _probe_level(a, e, mk_cfg(ref), level)
             continue
-        best: tuple[tuple[float, float], InterpConfig, list[np.ndarray]] | None = None
+        best: tuple[float, InterpConfig, list[np.ndarray]] | None = None
         # Same-level interpolation (§5.4.2) is only offered where the
         # sample is statistically meaningful (the final level holds 50 %+
         # of all points); at higher levels its small-sample score is
@@ -269,15 +265,18 @@ def tune_global_interp(
         level_cands = (
             cands if level == 1 else [c for c in cands if not c.same_level]
         )
-        # Reference-first with a selection margin: a challenger must beat
-        # the incumbent's coded size by >1 % — probe noise otherwise flips
-        # configs whose real cost is slightly worse (measured; DESIGN.md).
+        # Selection margin: a challenger must beat the incumbent's coded
+        # size by >1 % — probe noise otherwise flips configs whose real
+        # cost is slightly worse (measured; DESIGN.md). The sort would put
+        # ``ref`` first, but with dim-order tuning on (every preset, any
+        # >= 2-D input) each 1d candidate carries an explicit order and
+        # none equals ``ref``: the sort is a no-op and the first
+        # candidate, 1d/linear/forward order, is the incumbent.
         level_cands = sorted(
             level_cands, key=lambda c: c != ref
         )
         for c in level_cands:
             nbytes = 0
-            abs_err = 0.0
             count = 0
             trial: list[np.ndarray] = []
             for st in states:
@@ -286,22 +285,17 @@ def tune_global_interp(
                 trial.append(a)
                 if probe.count:
                     nbytes += probe.encoded_bytes()
-                    abs_err += probe.abs_err
                     count += probe.count
                 if level > 1:
                     probe2 = _probe_level(a.copy(), e, mk_cfg(ref), level - 1)
                     if probe2.count:
                         nbytes += probe2.encoded_bytes()
                         count += probe2.count
-            score = (
-                (nbytes / count, abs_err / max(count, 1))
-                if count
-                else (np.inf, np.inf)
-            )
+            score = nbytes / count if count else np.inf
             # Margin grows with level: coarse-level samples are smaller
             # and flips there propagate error into everything below.
             margin = 0.99 if level == 1 else 0.985
-            if best is None or score[0] < best[0][0] * margin:
+            if best is None or score < best[0] * margin:
                 best = (score, c, trial)
         assert best is not None
         chosen[level - 1] = best[1]

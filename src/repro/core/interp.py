@@ -32,17 +32,34 @@ its passes, the code stream is laid out in its order (each pass owns the
 next ``Pass.size`` codes, C order over its targets), and the tuner's §6.2
 probes run and score single levels of it.
 
+Each pass (and each same-level phase) runs in slabs of consecutive
+target rows along axis 0, one slab after another: a slab holds at most
+``SLAB`` targets, or one row when a row is bigger. A slab restricts
+axis 0 of the pass's selection to its rows; when the pass interpolates
+along axis 0 it takes the slab's slice of the axis-0 target positions
+instead, and the neighbour indices stay those of the whole line (the
+boundary rule depends only on the target index and the axis length).
+Slabs bound the pass's temporaries (prediction, quantizer buffers, the
+contiguous source copy ``line_predict`` gathers from) to about ``SLAB``
+elements each, instead of up to half the field.
+They change no byte: no target of a pass or phase reads another target
+of the same pass or phase, every element gets the same operations in
+the same order, and slabs follow axis 0, so the C order of the codes
+and of the literals a pass emits (compress) or consumes (decompress)
+is that of the whole pass.
+
 ``fvfi=False`` (Table 6 ablation) runs each pass one position of the last,
 fastest-varying axis at a time — QoZ's traversal with poor memory
 locality — instead of one vectorized strided pass, unless the pass
 interpolates along that axis.
 
-Block-wise tuning (§6.6) supplies a per-32^d-block spline id; each pass
+Block-wise tuning (§6.6) supplies a per-32^d-block spline id; each slab
 computes the prediction for every spline in use and blends them with the
 block mask, so the walk stays vectorized and bit-exact on both sides.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
@@ -54,6 +71,9 @@ from . import container, lossless, splines
 from .quantizer import QuantDecoder, QuantEncoder
 
 ALL = slice(None)
+
+#: most targets one slab of a pass predicts and quantizes at a time
+SLAB = 1 << 16
 
 #: spline ids used by block-wise tuning (index into this tuple).
 BLOCK_SPLINES = splines.SPLINE_CHOICES
@@ -167,7 +187,7 @@ class Pass:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 def passes(
@@ -295,13 +315,21 @@ class _Walk:
         else:
             phases = [(sel, False, tpos, chunk)]
         for sel_t, sl_phase, tp, out in phases:
-            pred = self._blend_blocks(
-                p,
-                sel_t,
-                sl_phase,
-                lambda st: self._predict(sel, p.axes, s, tp, st),
-            )
-            self.a[sel_t] = self.qfun(pred, sel_t, e_l, out)
+            # slabs of consecutive target rows along axis 0
+            rows = range(self.a.shape[0])[sel_t[0]]
+            step = max(1, SLAB // max(1, math.prod(out.shape[1:])))
+            for k0 in range(0, len(rows), step):
+                k = slice(k0, k0 + step)
+                r = rows[k]
+                slab = _put(sel_t, 0, slice(r.start, r.stop, r.step))
+                tk = [t[k] if d == 0 else t for d, t in zip(p.axes, tp)]
+                pred = self._blend_blocks(
+                    p,
+                    slab,
+                    sl_phase,
+                    lambda st: self._predict(slab, p.axes, s, tk, st),
+                )
+                self.a[slab] = self.qfun(pred, slab, e_l, out[k])
 
     def _predict(
         self,

@@ -9,10 +9,10 @@ stream (the SZ convention).
 
 There is no grid of codes: the walk hands each call the int32 view of
 the serialized stream that its targets own, a reshaped chunk of one
-``interp.passes`` pass (or a phase / no-FVFI sub-view of it), so codes
-are written and read in pass order (DESIGN.md §7). That order does not
-depend on same-level phase splits or on the fvfi traversal, so neither
-changes the encoded size.
+``interp.passes`` pass (or a phase / no-FVFI / axis-0 slab sub-view of
+it), so codes are written and read in pass order (DESIGN.md §7). That
+order does not depend on same-level phase splits, slabs or the fvfi
+traversal, so none of them changes the encoded size.
 """
 from __future__ import annotations
 

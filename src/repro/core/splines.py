@@ -19,7 +19,7 @@ linear stencil on linear ones — properties pinned by unit tests.
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,11 +61,20 @@ def _neighbour(n1: int, t: np.ndarray, off: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _range_neighbour(n1: int, tpos: range, off: int) -> np.ndarray:
-    """``_neighbour`` for a ``range`` of targets, cached (read-only)."""
-    idx = _neighbour(n1, np.arange(tpos.start, tpos.stop, tpos.step), off)
-    idx.flags.writeable = False
-    return idx
+def _range_plan(
+    n1: int, tpos: range, stencil: str
+) -> tuple[slice, tuple[np.ndarray, ...]]:
+    """For a ``range`` of targets on an axis of last index ``n1``: the
+    span of the line that ``stencil`` reads, and each term's neighbour
+    indices relative to that span; cached (read-only)."""
+    t = np.arange(tpos.start, tpos.stop, tpos.step)
+    idx = [_neighbour(n1, t, off) for off, _ in STENCILS[stencil]]
+    lo = min(int(i.min()) for i in idx) if t.size else 0
+    hi = max(int(i.max()) for i in idx) if t.size else n1
+    for i in idx:
+        i -= lo
+        i.flags.writeable = False
+    return slice(lo, hi + 1), tuple(idx)
 
 
 def line_predict(
@@ -80,26 +89,34 @@ def line_predict(
     ``len(tpos)``. An out-of-range neighbour is mirrored about the target
     and, failing that, clamped to an even (always-known) index: the
     parity-safe boundary rule that lets the decompressor replay the walk
-    without reading an unwritten point. The walk and the tuner pass a
-    ``range``, whose neighbour indices are cached per (axis length,
-    target range, offset); array targets are computed on every call.
+    without reading an unwritten point. The rule depends only on the
+    target index and n, so a caller may pass any sub-range of the
+    targets. The walk and the tuner pass a ``range``, whose neighbour
+    indices are cached per (axis length, target range, stencil) and
+    whose reads are cut to the span of ``v`` they reach; array targets
+    are computed on every call.
 
-    Terms accumulate into one output buffer in stencil order (``w0*t0``,
-    then ``+= w1*t1`` ...), the same arithmetic and order for every axis.
+    The span read is copied once into a C-contiguous buffer (``np.take``
+    would copy a strided source on every call). Terms accumulate into
+    one output buffer in stencil order (``w0*t0``, then ``+= w1*t1``
+    ...), the same arithmetic and order for every axis.
     """
     n1 = v.shape[axis] - 1
+    terms = STENCILS[stencil]
     if isinstance(tpos, range):
-        neighbour = partial(_range_neighbour, n1, tpos)
+        span, idx = _range_plan(n1, tpos, stencil)
+        v = v[(slice(None),) * (axis % v.ndim) + (span,)]
     else:
-        neighbour = partial(_neighbour, n1, np.asarray(tpos))
+        t = np.asarray(tpos)
+        idx = tuple(_neighbour(n1, t, off) for off, _ in terms)
+    v = np.ascontiguousarray(v)
     # indices are in range, so mode="clip" changes nothing but lets take
     # write straight into ``out`` (mode="raise" buffers it)
-    (off0, w0), *rest = STENCILS[stencil]
-    acc = np.take(v, neighbour(off0), axis=axis, mode="clip")
-    acc *= w0
+    acc = np.take(v, idx[0], axis=axis, mode="clip")
+    acc *= terms[0][1]
     buf = np.empty_like(acc)
-    for off, w in rest:
-        np.take(v, neighbour(off), axis=axis, out=buf, mode="clip")
+    for i, (_, w) in zip(idx[1:], terms[1:]):
+        np.take(v, i, axis=axis, out=buf, mode="clip")
         buf *= w
         acc += buf
     return acc
