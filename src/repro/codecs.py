@@ -85,10 +85,6 @@ def decompress(blob: bytes) -> np.ndarray:
     return _CODECS[name].decompress(sec["payload"])
 
 
-def codec_of(blob: bytes) -> str:
-    return container.unpack(blob)["codec"].decode()
-
-
 def roundtrip(
     name: str, data: np.ndarray, eps: float, **kw
 ) -> tuple[bytes, np.ndarray, float, float]:

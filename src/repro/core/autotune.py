@@ -35,6 +35,7 @@ from .interp import EngineConfig, InterpConfig
 from .splines import SPLINE_CHOICES, line_predict
 
 SAMPLE_RATE = 0.002  # §6.1 default
+SEED = 17  # §6.1 point sampling
 CROP_TARGET = 32  # sample-block side for per-level candidate probing
 TEST_TARGET = 48  # sample-block side for cross-family compression tests
                   # (small blocks bias against interpolation: more of the
@@ -51,23 +52,21 @@ EB_CANDIDATES = (  # §6.4 (alpha, beta) grid, QoZ-style
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TuneOptions:
-    """Which auto-tuning features a preset enables."""
+    """Which auto-tuning features a preset enables; the default is HPEZ
+    with every feature on."""
 
     target: str = "cr"  # "cr" | "psnr"
     splines: tuple[str, ...] = SPLINE_CHOICES  # allowed spline functions
     paradigms: tuple[str, ...] = ("1d", "md")  # allowed paradigms
     same_level: bool = True  # §5.4.2 allowed
-    tune_dim_order: bool = True
     tune_eb: bool = True  # §6.4
     dim_freeze: bool = True  # §6.3
     lorenzo: bool = True  # §6.5
     blockwise: bool = True  # §6.6
     anchor_stride: int = 32
-    block_size: int = 32
-    fvfi: bool = True
-    seed: int = 17
+    fvfi: bool = True  # §5.4.1
 
 
 @dataclass
@@ -80,10 +79,10 @@ class TuneResult:
 # ---------------------------------------------------------------------------
 # §6.1 sampling & statistical analysis
 # ---------------------------------------------------------------------------
-def axis_interp_mse(data: np.ndarray, seed: int = 17) -> np.ndarray:
+def axis_interp_mse(data: np.ndarray) -> np.ndarray:
     """Per-axis cubic-interpolation MSE on ~0.2 % sampled points (§6.1)."""
     a = np.asarray(data, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     n_samples = max(256, int(a.size * SAMPLE_RATE))
     out = np.zeros(a.ndim)
     w = (-1 / 16, 9 / 16, 9 / 16, -1 / 16)
@@ -192,7 +191,7 @@ def _probe_level(a: np.ndarray, e: float, cfg: EngineConfig, level: int) -> _Err
 def _candidate_configs(opts: TuneOptions, active: tuple[int, ...]) -> list[InterpConfig]:
     out: list[InterpConfig] = []
     orders: list[tuple[int, ...] | None] = [None]
-    if opts.tune_dim_order and len(active) > 1:
+    if len(active) > 1:
         # Forward and reversed axis orders (the full permutation set grows
         # the tuning cost beyond HPEZ's "high-performance" envelope).
         orders = [tuple(active), tuple(reversed(active))]
@@ -234,17 +233,7 @@ def tune_global_interp(
     ref = InterpConfig("1d", "cubic_nak", False, None)
 
     def mk_cfg(c: InterpConfig) -> EngineConfig:
-        return EngineConfig(
-            anchor_stride=base.anchor_stride,
-            level_configs=(c,),
-            alpha=base.alpha,
-            beta=base.beta,
-            frozen_axes=base.frozen_axes,
-            md_sigma2=base.md_sigma2,
-            block_cfg=None,
-            fvfi=True,
-            radius=base.radius,
-        )
+        return replace(base, level_configs=(c,), block_cfg=None, fvfi=True)
 
     chosen: list[InterpConfig | None] = [None] * m
     for level in range(m, 0, -1):
@@ -267,11 +256,11 @@ def tune_global_interp(
         )
         # Selection margin: a challenger must beat the incumbent's coded
         # size by >1 % — probe noise otherwise flips configs whose real
-        # cost is slightly worse (measured; DESIGN.md). The sort would put
-        # ``ref`` first, but with dim-order tuning on (every preset, any
-        # >= 2-D input) each 1d candidate carries an explicit order and
-        # none equals ``ref``: the sort is a no-op and the first
-        # candidate, 1d/linear/forward order, is the incumbent.
+        # cost is slightly worse (measured; DESIGN.md). The sort puts
+        # ``ref`` first when it is a candidate (one active axis); with two
+        # or more active axes each 1d candidate carries an explicit dim
+        # order and none equals ``ref``: the sort is a no-op and the
+        # first candidate, 1d/linear/forward order, is the incumbent.
         level_cands = sorted(
             level_cands, key=lambda c: c != ref
         )
@@ -340,8 +329,8 @@ def tune_blocks(
     data: np.ndarray,
     opts: TuneOptions,
     frozen: tuple[int, ...],
-    global_spline: str = "cubic_nak",
-    e: float = 1.0,
+    global_spline: str,
+    e: float,
 ) -> np.ndarray | None:
     """Per-block spline id (index into SPLINE_CHOICES) via prediction
     tests on the 4 % center sub-block of each 32^d block (§6.6).
@@ -350,7 +339,7 @@ def tune_blocks(
     best spline beats the global one by >10 % prediction error — the
     stride-1 sub-block test is a proxy, so near-ties go to the global
     choice."""
-    B = opts.block_size
+    B = EngineConfig.block_size
     shape = data.shape
     nblocks = tuple((n + B - 1) // B for n in shape)
     if int(np.prod(nblocks)) <= 1:
@@ -448,24 +437,32 @@ def _validate_blockcfg(data: np.ndarray, e: float, cfg: EngineConfig) -> bool:
 def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
     """Run the full auto-tuning pipeline of Fig. 7; returns the engine
     config (and whether the Lorenzo predictor was selected instead)."""
-    sigma2 = axis_interp_mse(data, opts.seed)
+    sigma2 = axis_interp_mse(data)
     probe_blocks = sample_blocks(data, CROP_TARGET, k=2)
     blocks = sample_blocks(data, TEST_TARGET)
     crop_bytes = sum(b.size for b in blocks) * np.asarray(data).dtype.itemsize
 
-    def build(frozen: tuple[int, ...]) -> EngineConfig:
-        base = EngineConfig(
-            anchor_stride=opts.anchor_stride,
-            frozen_axes=frozen,
-            md_sigma2=tuple(float(s) for s in sigma2),
-            block_size=opts.block_size,
-            fvfi=opts.fvfi,
-        )
-        base.level_configs = tune_global_interp(probe_blocks, opts, base, e)
-        return base
+    def keep_best(
+        best: tuple[float, int, EngineConfig], challengers: list[EngineConfig]
+    ) -> tuple[float, int, EngineConfig]:
+        """Crop-test each challenger in order (§6.3, §6.4); one replaces
+        the incumbent ``(score, bytes, cfg)`` only when it scores
+        strictly higher."""
+        for trial in challengers:
+            nbytes, psnr = _crop_test(blocks, e, trial)
+            score = _score(nbytes, psnr, crop_bytes, opts.target)
+            if score > best[0]:
+                best = (score, nbytes, trial)
+        return best
 
-    cfg = build(())
-    best_bytes, best_psnr = _crop_test(blocks, e, cfg)
+    cfg = EngineConfig(
+        anchor_stride=opts.anchor_stride,
+        md_sigma2=tuple(float(s) for s in sigma2),
+        fvfi=opts.fvfi,
+    )
+    cfg = replace(cfg, level_configs=tune_global_interp(probe_blocks, opts, cfg, e))
+    nbytes, psnr = _crop_test(blocks, e, cfg)
+    best = (_score(nbytes, psnr, crop_bytes, opts.target), nbytes, cfg)
 
     # §6.3 dynamic dimension freezing
     if opts.dim_freeze and data.ndim >= 2:
@@ -488,24 +485,14 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
                 for c in cfg.level_configs
             ),
         )
-        fbytes, fpsnr = _crop_test(blocks, e, fcfg)
-        if _score(fbytes, fpsnr, crop_bytes, opts.target) > _score(
-            best_bytes, best_psnr, crop_bytes, opts.target
-        ):
-            cfg = fcfg
-            best_bytes, best_psnr = fbytes, fpsnr
+        best = keep_best(best, [fcfg])
 
     # §6.4 level-wise error-bound tuning (Eq. 15)
     if opts.tune_eb:
-        best = _score(best_bytes, best_psnr, crop_bytes, opts.target)
-        for alpha, beta in EB_CANDIDATES[1:]:
-            trial = replace(cfg, alpha=alpha, beta=beta)
-            tbytes, tpsnr = _crop_test(blocks, e, trial)
-            sc = _score(tbytes, tpsnr, crop_bytes, opts.target)
-            if sc > best:
-                best = sc
-                cfg = trial
-                best_bytes, best_psnr = tbytes, tpsnr
+        cfg = best[2]
+        trials = [replace(cfg, alpha=a, beta=b) for a, b in EB_CANDIDATES[1:]]
+        best = keep_best(best, trials)
+    _, best_bytes, cfg = best
 
     # §6.5 Lorenzo tuning
     use_lorenzo = False

@@ -3,51 +3,20 @@
 New over QoZ 1.1 (paper §5–§6): natural cubic splines, multi-dimensional
 interpolation, interpolation re-ordering (fast-varying-first + same-level
 cubic), dynamic dimension freezing, Lorenzo tuning, block-wise
-interpolation tuning. Each feature maps to a :class:`TuneOptions` /
-:class:`EngineConfig` switch, so the Fig. 17 ablations are expressible by
-constructing a codec with individual features turned off.
+interpolation tuning. ``OPTS`` is the :class:`TuneOptions` default, with
+every feature on. A Fig. 17 ablation is ``replace(hpez.OPTS, ...)`` with
+features switched off — ``splines=("linear", "cubic_nak")`` (no natural
+spline), ``paradigms=("1d",)``, ``same_level=False``, ``dim_freeze=False``,
+``lorenzo=False``, ``blockwise=False`` — wrapped in a
+:class:`PredictionCodec`.
 """
 from __future__ import annotations
 
 from .autotune import TuneOptions
 from .pipeline import PredictionCodec
-from .splines import SPLINE_CHOICES
 
-
-def make_codec(
-    *,
-    target: str = "cr",
-    fvfi: bool = True,
-    natural_spline: bool = True,
-    multidim: bool = True,
-    same_level: bool = True,
-    dim_freeze: bool = True,
-    use_lorenzo: bool = True,
-    blockwise: bool = True,
-    name: str = "hpez",
-) -> PredictionCodec:
-    """Build an HPEZ codec; keyword switches drive the ablation study."""
-    splines = SPLINE_CHOICES if natural_spline else ("linear", "cubic_nak")
-    paradigms = ("1d", "md") if multidim else ("1d",)
-    return PredictionCodec(
-        name,
-        TuneOptions(
-            target=target,
-            splines=splines,
-            paradigms=paradigms,
-            same_level=same_level,
-            tune_dim_order=True,
-            tune_eb=True,
-            dim_freeze=dim_freeze,
-            lorenzo=use_lorenzo,
-            blockwise=blockwise,
-            anchor_stride=32,
-            fvfi=fvfi,
-        ),
-    )
-
-
-CODEC = make_codec()
+OPTS = TuneOptions()
+CODEC = PredictionCodec("hpez", OPTS)
 
 compress = CODEC.compress
 decompress = CODEC.decompress

@@ -411,7 +411,8 @@ def compress(
     if e <= 0:
         raise ValueError("error bound must be positive")
     orig_dtype = data.dtype
-    a = np.ascontiguousarray(data, dtype=np.float64)
+    # a copy, always: the walk writes its reconstruction into ``a``
+    a = np.array(data, dtype=np.float64, order="C")
     anchors = np.ascontiguousarray(data[_anchor_sel(a.shape, cfg)])
     enc = QuantEncoder(cfg.radius)
     stream = np.empty(stream_size(a.shape, cfg), dtype=np.int32)

@@ -11,8 +11,8 @@ import zlib
 LEVEL = 6
 
 
-def compress(data: bytes, level: int = LEVEL) -> bytes:
-    return zlib.compress(data, level)
+def compress(data: bytes) -> bytes:
+    return zlib.compress(data, LEVEL)
 
 
 def decompress(blob: bytes) -> bytes:

@@ -1,9 +1,5 @@
-"""Quality metrics used in the evaluation (paper §7.1.3).
-
-* value range, max abs error, PSNR (= 20 log10(range/RMSE)),
-* windowed SSIM over n-d boxes (cumsum box filter; scipy-free),
-* compression ratio and bit rate.
-"""
+"""Quality metrics used in the evaluation (paper §7.1.3): value range,
+max abs error, MSE and PSNR (= 20 log10(range/RMSE))."""
 from __future__ import annotations
 
 import numpy as np
@@ -32,48 +28,3 @@ def psnr(x: np.ndarray, y: np.ndarray) -> float:
     if r == 0:
         return float("-inf")
     return float(20.0 * np.log10(r) - 10.0 * np.log10(m))
-
-
-def compression_ratio(orig_bytes: int, comp_bytes: int) -> float:
-    return orig_bytes / comp_bytes
-
-
-def bit_rate(comp_bytes: int, n_points: int) -> float:
-    return 8.0 * comp_bytes / n_points
-
-
-def _box_sum(x: np.ndarray, w: int) -> np.ndarray:
-    """Sum over all w^d windows (valid mode) via cumulative sums."""
-    out = x.astype(np.float64)
-    for ax in range(x.ndim):
-        c = np.cumsum(out, axis=ax)
-        pad_shape = list(c.shape)
-        pad_shape[ax] = 1
-        c = np.concatenate([np.zeros(pad_shape), c], axis=ax)
-        hi = [slice(None)] * x.ndim
-        lo = [slice(None)] * x.ndim
-        hi[ax] = slice(w, None)
-        lo[ax] = slice(0, c.shape[ax] - w)
-        out = c[tuple(hi)] - c[tuple(lo)]
-    return out
-
-
-def ssim(x: np.ndarray, y: np.ndarray, window: int = 7) -> float:
-    """Mean SSIM over n-d windows with data-range-based constants [47]."""
-    x = np.asarray(x, np.float64)
-    y = np.asarray(y, np.float64)
-    w = min(window, *x.shape)
-    n = float(w**x.ndim)
-    r = value_range(x)
-    if r == 0:
-        return 1.0 if np.array_equal(x, y) else 0.0
-    c1 = (0.01 * r) ** 2
-    c2 = (0.03 * r) ** 2
-    sx = _box_sum(x, w) / n
-    sy = _box_sum(y, w) / n
-    sxx = _box_sum(x * x, w) / n - sx * sx
-    syy = _box_sum(y * y, w) / n - sy * sy
-    sxy = _box_sum(x * y, w) / n - sx * sy
-    num = (2 * sx * sy + c1) * (2 * sxy + c2)
-    den = (sx * sx + sy * sy + c1) * (sxx + syy + c2)
-    return float(np.mean(num / den))

@@ -4,6 +4,10 @@ Implements the five framework steps of paper §4 around the interpolation
 engine: auto-tuning → prediction → linear quantization → entropy coding →
 lossless postprocessing, under an absolute error bound ``e`` (resolved
 from the §7.1.3 value-range ``eps`` by ``codecs.abs_bound``).
+
+A preset is a name and a :class:`TuneOptions` value (``sz3.CODEC``,
+``qoz.CODEC``, ``hpez.CODEC``, FAZ's interpolation leg); the traversal
+order ``fvfi`` is the one option a call may override (Table 6).
 """
 from __future__ import annotations
 
@@ -22,21 +26,11 @@ class PredictionCodec:
         self.name = name
         self.opts = opts
 
-    def compress(
-        self,
-        data: np.ndarray,
-        e: float,
-        target: str | None = None,
-        fvfi: bool | None = None,
-    ) -> bytes:
-        """Compress under absolute error bound ``e``; ``target`` and
-        ``fvfi`` override the preset's tuning options for this call."""
+    def compress(self, data: np.ndarray, e: float, fvfi: bool | None = None) -> bytes:
+        """Compress under absolute error bound ``e``; ``fvfi`` overrides
+        the preset's traversal order for this call."""
         data = np.asarray(data)
-        opts = self.opts
-        if target is not None:
-            opts = replace(opts, target=target)
-        if fvfi is not None:
-            opts = replace(opts, fvfi=fvfi)
+        opts = self.opts if fvfi is None else replace(self.opts, fvfi=fvfi)
         result = autotune.tune(data, e, opts)
         if result.use_lorenzo:
             inner = lorenzo.compress(data, e)

@@ -15,7 +15,6 @@ CODEC = PredictionCodec(
         splines=("linear", "cubic_nak"),
         paradigms=("1d",),
         same_level=False,
-        tune_dim_order=True,
         tune_eb=True,
         dim_freeze=False,
         lorenzo=False,

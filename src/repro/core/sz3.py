@@ -14,7 +14,6 @@ CODEC = PredictionCodec(
         splines=("linear", "cubic_nak"),
         paradigms=("1d",),
         same_level=False,
-        tune_dim_order=True,
         tune_eb=False,  # SZ3 uses the global bound on every level
         dim_freeze=False,
         lorenzo=True,

@@ -12,12 +12,15 @@ reproducing its Table 4 position.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .. import sperr
 from ..core import container, hpez
+from ..core.pipeline import PredictionCodec
 
-_INTERP = hpez.make_codec(target="psnr", name="faz-interp")
+_INTERP = PredictionCodec("faz-interp", replace(hpez.OPTS, target="psnr"))
 
 
 def compress(data: np.ndarray, e: float) -> bytes:

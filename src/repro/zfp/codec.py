@@ -13,8 +13,12 @@ coding — fastest codec, lowest ratio):
 5. per-block fixed-width bit packing (groups of equal width packed
    vectorized) — deliberately *no* global entropy stage, like ZFP;
 6. a correction list guarantees the point-wise bound exactly (real ZFP's
-   fixed-accuracy mode guarantees it analytically; our conservative gain
-   bound makes corrections empty in practice, pinned by tests).
+   fixed-accuracy mode guarantees it analytically). The gain bound is
+   not tight enough to make it empty: 15 of the 48 blobs over the eight
+   datasets at test and bench scale and eps 1e-2/1e-3/1e-4 carry one,
+   and a bound far below a block's mantissa resolution corrects most
+   points by many ``e``. Corrections are stored as int8 when every one
+   fits, else as int64.
 
 Decompression reverses the steps; everything is whole-array NumPy, which
 is why this codec tops the speed table like ZFP does in paper Table 2.
@@ -175,7 +179,10 @@ def compress(data: np.ndarray, e: float) -> bytes:
     bad = np.abs(err) > e
     if bad.any():
         idx = np.flatnonzero(bad.ravel()).astype(np.int64)
-        corr = np.rint(err.ravel()[idx] / e).astype(np.int8)
+        corr = np.rint(err.ravel()[idx] / e).astype(np.int64)
+        i8 = np.iinfo(np.int8)
+        if i8.min <= corr.min() and corr.max() <= i8.max:
+            corr = corr.astype(np.int8)
         sections.append(
             ("corr_idx", lossless.compress(container.array_section(idx)))
         )

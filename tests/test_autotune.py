@@ -181,7 +181,7 @@ def _tune_blocks_per_block(data, opts, frozen, global_spline, e):
     batched ``tune_blocks`` replaced); same arithmetic per block."""
     from repro.core.splines import SPLINE_CHOICES, line_predict
 
-    B = opts.block_size
+    B = interp.EngineConfig.block_size
     nblocks = tuple((n + B - 1) // B for n in data.shape)
     if int(np.prod(nblocks)) <= 1:
         return None

@@ -25,7 +25,6 @@ _FULL_MATRIX = [
 def test_bound_and_roundtrip(codec, dataset, eps):
     data = generate(dataset, "test")
     blob = codecs.compress(codec, data, eps)
-    assert codecs.codec_of(blob) == codec
     recon = codecs.decompress(blob)
     assert recon.shape == data.shape
     e = metrics.value_range(data) * eps
@@ -104,13 +103,21 @@ def test_faz_at_least_best_of_parents():
     assert fz <= sp * 1.01
 
 
-def test_psnr_target_mode():
-    """hpez accepts the rate-distortion tuning target (§3.1 metric M)."""
-    data = generate("Miranda", "test")
-    blob = codecs.compress("hpez", data, 1e-3, target="psnr")
-    recon = codecs.decompress(blob)
-    e = metrics.value_range(data) * 1e-3
-    assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)
+@pytest.mark.parametrize("codec", codecs.ALL_CODECS)
+@pytest.mark.parametrize("dataset", ["SegSalt", "CESM-ATM"])
+@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+def test_float64_input_kept_and_bounded(codec, dataset, writeable):
+    """A C-contiguous float64 input is not the codec's working buffer: it
+    is left unchanged, is accepted read-only (as ``compress_df``'s kernel
+    hands over each block's bytes), and decodes within the bound of a
+    copy taken before compressing."""
+    data = generate(dataset, "test").astype(np.float64)
+    keep = data.copy()
+    data.flags.writeable = writeable
+    blob = codecs.compress(codec, data, 1e-3)
+    np.testing.assert_array_equal(data, keep)
+    e = codecs.abs_bound(keep, 1e-3)
+    assert metrics.max_abs_err(keep, codecs.decompress(blob)) <= e * (1 + 1e-6)
 
 
 def _field24() -> np.ndarray:

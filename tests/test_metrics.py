@@ -31,36 +31,3 @@ def test_psnr_monotone_in_noise():
 
 def test_max_abs_err():
     assert metrics.max_abs_err(np.array([1.0, 2.0]), np.array([1.5, 1.0])) == 1.0
-
-
-def test_bit_rate_and_cr():
-    assert metrics.compression_ratio(4000, 100) == 40.0
-    assert metrics.bit_rate(100, 800) == 1.0
-
-
-def test_box_sum_matches_naive():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((9, 11))
-    w = 3
-    got = metrics._box_sum(x, w)
-    for i in range(x.shape[0] - w + 1):
-        for j in range(x.shape[1] - w + 1):
-            assert got[i, j] == pytest.approx(x[i : i + w, j : j + w].sum())
-
-
-def test_ssim_identity():
-    x = np.random.default_rng(3).standard_normal((16, 16, 16))
-    assert metrics.ssim(x, x) == pytest.approx(1.0)
-
-
-def test_ssim_decreases_with_noise():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((24, 24))
-    s1 = metrics.ssim(x, x + 0.01 * rng.standard_normal(x.shape))
-    s2 = metrics.ssim(x, x + 0.5 * rng.standard_normal(x.shape))
-    assert 0 < s2 < s1 <= 1.0
-
-
-def test_ssim_constant_field():
-    x = np.full((8, 8), 2.0)
-    assert metrics.ssim(x, x) == 1.0

@@ -1,25 +1,33 @@
 """HPEZ preset / ablation tests (paper §7.2.7, Fig. 17): every design
 component can be toggled and each configuration remains a correct
 error-bounded codec."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import hpez, metrics
+from repro.core.pipeline import PredictionCodec
 from repro.datasets import generate
 
-_SWITCHES = (
-    "natural_spline",
-    "multidim",
-    "same_level",
-    "dim_freeze",
-    "use_lorenzo",
-    "blockwise",
-)
+#: Fig. 17 component -> the ``TuneOptions`` fields that switch it off
+_SWITCHES = {
+    "natural_spline": {"splines": ("linear", "cubic_nak")},
+    "multidim": {"paradigms": ("1d",)},
+    "same_level": {"same_level": False},
+    "dim_freeze": {"dim_freeze": False},
+    "use_lorenzo": {"lorenzo": False},
+    "blockwise": {"blockwise": False},
+}
+
+
+def _hpez(**changes) -> PredictionCodec:
+    return PredictionCodec("hpez", replace(hpez.OPTS, **changes))
 
 
 @pytest.mark.parametrize("switch", _SWITCHES)
 def test_each_component_off_still_bounded(switch):
-    codec = hpez.make_codec(**{switch: False})
+    codec = _hpez(**_SWITCHES[switch])
     data = generate("SCALE", "test")
     e = metrics.value_range(data) * 1e-3
     blob = codec.compress(data, e)
@@ -32,8 +40,8 @@ def test_dim_freeze_component_drives_cesm_gain():
     contributor — removing it must cost compression ratio."""
     data = generate("CESM-ATM", "test")
     e = metrics.value_range(data) * 1e-3
-    full = len(hpez.make_codec().compress(data, e))
-    nofreeze = len(hpez.make_codec(dim_freeze=False).compress(data, e))
+    full = len(hpez.compress(data, e))
+    nofreeze = len(_hpez(dim_freeze=False).compress(data, e))
     assert full < nofreeze * 0.8
 
 
@@ -42,17 +50,9 @@ def test_ablation_chain_never_catastrophic():
     Fig. 17 sits between QoZ and full HPEZ)."""
     data = generate("Miranda", "test")
     e = metrics.value_range(data) * 1e-3
-    full = len(hpez.make_codec().compress(data, e))
-    stripped = len(
-        hpez.make_codec(
-            natural_spline=False,
-            multidim=False,
-            same_level=False,
-            dim_freeze=False,
-            use_lorenzo=False,
-            blockwise=False,
-        ).compress(data, e)
-    )
+    full = len(hpez.compress(data, e))
+    off = {k: v for changes in _SWITCHES.values() for k, v in changes.items()}
+    stripped = len(_hpez(**off).compress(data, e))
     assert stripped < full * 1.3  # stripped ~= QoZ; full must not be worse by much
     assert full < stripped * 1.3
 
@@ -61,21 +61,22 @@ def test_fvfi_values_identical():
     """§5.4.1 is a traversal-order (speed) change only."""
     data = generate("SCALE", "test")
     e = metrics.value_range(data) * 1e-3
-    c1 = hpez.make_codec(fvfi=True)
-    c2 = hpez.make_codec(fvfi=False)
+    c1 = _hpez(fvfi=True)
+    c2 = _hpez(fvfi=False)
     r1 = c1.decompress(c1.compress(data, e))
     r2 = c2.decompress(c2.compress(data, e))
     np.testing.assert_array_equal(r1, r2)
 
 
 def test_target_switch_changes_tradeoff():
+    """hpez tunes for either target (§3.1 metric M); the rate-distortion
+    target may spend bytes for quality but must stay bounded."""
     data = generate("Miranda", "test")
-    cr_codec = hpez.make_codec(target="cr")
-    ps_codec = hpez.make_codec(target="psnr")
+    cr_codec = _hpez(target="cr")
+    ps_codec = _hpez(target="psnr")
     e = metrics.value_range(data) * 1e-3
     b_cr = cr_codec.compress(data, e)
     b_ps = ps_codec.compress(data, e)
-    # psnr target may spend bytes for quality but must stay bounded
     for codec, blob in ((cr_codec, b_cr), (ps_codec, b_ps)):
         recon = codec.decompress(blob)
         assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)

@@ -48,6 +48,19 @@ def test_compressed_blocks_smaller(block_tables):
     assert row.cb < row.ob / 3
 
 
+def test_float64_field_roundtrip(spark, field):
+    """The compress kernel hands each block to the codec as a read-only
+    ``np.frombuffer`` view; float64 blocks must compress from it and
+    decode within the bound. (Blocks this size keep the interpolation
+    predictor, which works in place; 20x20x18 ones go to Lorenzo.)"""
+    f64 = field.astype(np.float64)
+    e_abs = codecs.abs_bound(f64, 1e-3)
+    orig = sparkio.to_blocks_df(spark, f64, (20, 40, 36))
+    deco = sparkio.decompress_df(sparkio.compress_df(orig, "hpez", e_abs))
+    out = sparkio.reassemble(deco, f64.shape)
+    assert np.abs(out - f64).max() <= e_abs * (1 + 1e-6)
+
+
 def test_parquet_store_roundtrip(spark, block_tables, field, tmp_path):
     _, comp, _, e_abs = block_tables
     path = str(tmp_path / "blocks.parquet")

@@ -76,3 +76,12 @@ def test_cr_monotone_in_eps():
     r = float(f.max() - f.min())
     sizes = [len(zfp.compress(f, eps * r)) for eps in (1e-2, 1e-3, 1e-4)]
     assert sizes[0] < sizes[1] < sizes[2]
+
+
+@pytest.mark.parametrize("scale, e", [(1e12, 1e-3), (1e9, 1e-6)])
+def test_large_corrections_hold_the_bound(scale, e):
+    """A bound far below the block mantissa's resolution needs
+    corrections of many ``e``; they must not wrap at int8."""
+    f = scale * np.random.default_rng(4).standard_normal((16, 16, 16))
+    d = zfp.decompress(zfp.compress(f, e))
+    assert np.abs(d - f).max() <= e
