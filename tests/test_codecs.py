@@ -1,10 +1,13 @@
 """Integration tests: every codec x dataset x eps holds the bound and
 roundtrips through the self-describing registry (paper §7.1.2/§7.1.3)."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import codecs
-from repro.core import metrics
+from repro.core import hpez, metrics
+from repro.core.pipeline import PredictionCodec
 from repro.datasets import DATASETS, FP_DATASETS, INT_DATASETS, generate
 
 _EPS = (1e-2, 1e-3)
@@ -101,6 +104,16 @@ def test_faz_at_least_best_of_parents():
     fz = len(codecs.compress("faz", data, 1e-3))
     sp = len(codecs.compress("sperr", data, 1e-3))
     assert fz <= sp * 1.01
+
+
+def test_psnr_target_mode():
+    """hpez tuned for the rate-distortion target (§3.1 metric M) writes a
+    payload the registered hpez decoder reads within the bound."""
+    data = generate("Miranda", "test")
+    e = metrics.value_range(data) * 1e-3
+    codec = PredictionCodec("hpez", replace(hpez.OPTS, target="psnr"))
+    recon = hpez.CODEC.decompress(codec.compress(data, e))
+    assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)
 
 
 @pytest.mark.parametrize("codec", codecs.ALL_CODECS)
