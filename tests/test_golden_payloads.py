@@ -3,7 +3,9 @@
 ``golden_hashes`` compresses a fixed set of inputs and returns the sha256
 of every payload and of its decompressed array:
 
-* all seven codecs on the eight ``TEST_SHAPES`` fields at eps = 1e-3;
+* all seven codecs on the eight ``TEST_SHAPES`` fields at eps = 1e-3
+  (keys ``codec/<codec>/<dataset>``), 1e-2 and 1e-4 (keys
+  ``codec/<codec>/<dataset>/eps<eps>``);
 * HPEZ with ``fvfi=False`` through the full tuner;
 * ``interp.compress`` over an engine-config grid: 1–4-D shapes × ``1d``/
   ``md`` × the three splines × same-level × ``fvfi`` × frozen axis
@@ -39,6 +41,8 @@ FIXTURE = Path(__file__).with_name("golden_payloads.json")
 ZLIB_KEY = "_zlib"
 
 ENGINE_SHAPES = ((97,), (37, 41), (19, 23, 17), (7, 9, 6, 10))
+#: relative bounds of the codec cases besides 1e-3
+CODEC_EPS = (1e-2, 1e-4)
 
 
 def _sha(b: bytes | np.ndarray) -> str:
@@ -81,14 +85,15 @@ def _engine_cases() -> dict[str, tuple[np.ndarray, float, EngineConfig]]:
 def golden_hashes() -> dict[str, str]:
     """sha256 of every golden payload and decompressed array, by case."""
     out = {ZLIB_KEY: zlib.ZLIB_RUNTIME_VERSION}
-    runs: list[tuple[str, np.ndarray, str, dict]] = [
-        (f"codec/{c}/{d}", generate(d), c, {})
+    runs: list[tuple[str, np.ndarray, str, float, dict]] = [
+        (f"codec/{c}/{d}" + ("" if eps == 1e-3 else f"/eps{eps:g}"), generate(d), c, eps, {})
+        for eps in (1e-3,) + CODEC_EPS
         for c in codecs.ALL_CODECS
         for d in TEST_SHAPES
     ]
-    runs.append(("codec/hpez-nofvfi/Miranda", generate("Miranda"), "hpez", {"fvfi": False}))
-    for name, data, codec, kw in runs:
-        blob = codecs.compress(codec, data, 1e-3, **kw)
+    runs.append(("codec/hpez-nofvfi/Miranda", generate("Miranda"), "hpez", 1e-3, {"fvfi": False}))
+    for name, data, codec, eps, kw in runs:
+        blob = codecs.compress(codec, data, eps, **kw)
         out[name + "/payload"] = _sha(blob)
         out[name + "/decoded"] = _sha(codecs.decompress(blob))
     return out | _engine_hashes()
