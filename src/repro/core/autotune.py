@@ -19,6 +19,11 @@ Pipeline (each step optional, controlled by the preset in hpez/qoz/sz3):
 6. **Block-wise interpolation tuning** (§6.6): per 32^d block, choose the
    spline with the lowest prediction error on the 4 % center sub-block.
 
+The §6.2 probes and the crop tests run the §4 pipeline the payload is
+made with: a probe quantizes one level with ``interp.encode_walk`` (the
+encoder's ``QuantEncoder``) and scores the bytes ``codes.encode`` writes
+for it; a crop test runs ``interp.compress`` whole.
+
 Quality-metric targets: ``"cr"`` maximizes estimated compression ratio;
 ``"psnr"`` maximizes ``PSNR + 3*log2(CR)`` (rate-distortion proxy; the
 paper does not specify QoZ's exact scoring function — see DESIGN.md).
@@ -32,7 +37,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import interp, lorenzo, metrics
 from .interp import EngineConfig, InterpConfig
-from .splines import SPLINE_CHOICES, line_predict
+from .splines import SPLINE_CHOICES, STENCILS, line_predict
 
 SAMPLE_RATE = 0.002  # §6.1 default
 SEED = 17  # §6.1 point sampling
@@ -73,7 +78,6 @@ class TuneOptions:
 class TuneResult:
     use_lorenzo: bool
     cfg: EngineConfig
-    sigma2: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +89,6 @@ def axis_interp_mse(data: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng(SEED)
     n_samples = max(256, int(a.size * SAMPLE_RATE))
     out = np.zeros(a.ndim)
-    w = (-1 / 16, 9 / 16, 9 / 16, -1 / 16)
     for d in range(a.ndim):
         n = a.shape[d]
         if n < 7:
@@ -104,21 +107,12 @@ def axis_interp_mse(data: np.ndarray) -> np.ndarray:
         ]
         center = a[tuple(idx)]
         pred = np.zeros(n_samples)
-        for off, wi in zip((-3, -1, 1, 3), w):
+        for off, wi in STENCILS["cubic_nak"]:
             nb = list(idx)
             nb[d] = idx[d] + off
             pred += wi * a[tuple(nb)]
         out[d] = float(np.mean((center - pred) ** 2))
     return out
-
-
-def _center_crop(data: np.ndarray, sides: tuple[int, ...]) -> np.ndarray:
-    sel = []
-    for n, w in zip(data.shape, sides):
-        w = min(n, w)
-        lo = (n - w) // 2
-        sel.append(slice(lo, lo + w))
-    return np.ascontiguousarray(data[tuple(sel)])
 
 
 def sample_blocks(
@@ -144,48 +138,19 @@ def sample_blocks(
 # ---------------------------------------------------------------------------
 # §6.2 global interpolation tuning
 # ---------------------------------------------------------------------------
-class _ErrProbe:
-    """qfun for the §6.2 compression tests: counts the points and
-    writes the *quantized* reconstruction back, so configurations whose
-    same-level neighbours carry quantization noise are scored honestly.
-    Points of higher levels hold original values (each level is probed
-    independently)."""
-
-    def __init__(self, a: np.ndarray, cfg: EngineConfig, level: int) -> None:
-        self.a = a
-        self.cfg = cfg
-        self.count = 0
-        n = interp.stream_size(a.shape, cfg, (level,))
-        self.stream = np.empty(n, dtype=np.int32)
-
-    def __call__(
-        self, pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray
-    ) -> np.ndarray:
-        q = self.a[sel] - pred
-        self.count += q.size
-        q /= 2.0 * e_l
-        np.rint(q, out=q)
-        recon = q * (2.0 * e_l)
-        recon += pred
-        r = self.cfg.radius
-        np.clip(q, -r + 1, r - 1, out=q)
-        np.add(q, r, out=out, casting="unsafe")
-        return recon
-
-    def encoded_bytes(self) -> int:
-        """Actual coded size of this level's codes under the real lossless
-        stage (the LZ stage is order/run-sensitive, so marginal entropy
-        would mis-rank configurations — measured, see DESIGN.md)."""
-        if not self.stream.size:
-            return 0
-        return len(codes_mod.encode(self.stream, center=self.cfg.radius))
-
-
-def _probe_level(a: np.ndarray, e: float, cfg: EngineConfig, level: int) -> _ErrProbe:
-    """Run level ``level`` of the walk on ``a`` in place, under a probe."""
-    probe = _ErrProbe(a, cfg, level)
-    interp._Walk(a, e, cfg, probe, probe.stream).run(levels=(level,))
-    return probe
+def _probe_level(
+    a: np.ndarray, e: float, cfg: EngineConfig, level: int
+) -> tuple[int, int]:
+    """Run level ``level`` of the walk on ``a`` in place, quantized as
+    ``interp.compress`` quantizes it; return the coded bytes of its code
+    stream and the stream's length. Points of other levels keep what
+    ``a`` holds (each level is probed on its own). The bytes are the
+    real coder's output: its LZ stage is order and run sensitive, so
+    marginal entropy would mis-rank configurations (DESIGN.md §7)."""
+    stream, _ = interp.encode_walk(a, e, cfg, (level,))
+    if not stream.size:
+        return 0, 0
+    return len(codes_mod.encode(stream, center=cfg.radius)), stream.size
 
 
 def _candidate_configs(opts: TuneOptions, active: tuple[int, ...]) -> list[InterpConfig]:
@@ -244,7 +209,7 @@ def tune_global_interp(
             # reference config (SZ3's default interpolation).
             chosen[level - 1] = ref
             for a in states:
-                _probe_level(a, e, mk_cfg(ref), level)
+                interp.encode_walk(a, e, mk_cfg(ref), (level,))
             continue
         best: tuple[float, InterpConfig, list[np.ndarray]] | None = None
         # Same-level interpolation (§5.4.2) is only offered where the
@@ -270,16 +235,13 @@ def tune_global_interp(
             trial: list[np.ndarray] = []
             for st in states:
                 a = st.copy()
-                probe = _probe_level(a, e, mk_cfg(c), level)
+                probes = [_probe_level(a, e, mk_cfg(c), level)]
                 trial.append(a)
-                if probe.count:
-                    nbytes += probe.encoded_bytes()
-                    count += probe.count
                 if level > 1:
-                    probe2 = _probe_level(a.copy(), e, mk_cfg(ref), level - 1)
-                    if probe2.count:
-                        nbytes += probe2.encoded_bytes()
-                        count += probe2.count
+                    probes.append(_probe_level(a.copy(), e, mk_cfg(ref), level - 1))
+                for nb, n in probes:
+                    nbytes += nb
+                    count += n
             score = nbytes / count if count else np.inf
             # Margin grows with level: coarse-level samples are smaller
             # and flips there propagate error into everything below.
@@ -515,4 +477,4 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
         if cfg.block_cfg is not None and not _validate_blockcfg(data, e, cfg):
             cfg.block_cfg = None
 
-    return TuneResult(use_lorenzo=use_lorenzo, cfg=cfg, sigma2=tuple(sigma2))
+    return TuneResult(use_lorenzo=use_lorenzo, cfg=cfg)

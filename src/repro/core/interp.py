@@ -29,8 +29,9 @@ walk on a NaN-initialized array and never reads an unwritten point.
 
 :func:`passes` is the one definition of this structure: the walk runs
 its passes, the code stream is laid out in its order (each pass owns the
-next ``Pass.size`` codes, C order over its targets), and the tuner's §6.2
-probes run and score single levels of it.
+next ``Pass.size`` codes, C order over its targets), and
+:func:`encode_walk` quantizes it: :func:`compress` over every level, the
+tuner's §6.2 probes over one level at a time.
 
 Each pass (and each same-level phase) runs in slabs of consecutive
 target rows along axis 0, one slab after another: a slab holds at most
@@ -402,6 +403,23 @@ def _anchor_sel(shape: tuple[int, ...], cfg: EngineConfig) -> tuple:
     )
 
 
+def encode_walk(
+    a: np.ndarray, e: float, cfg: EngineConfig, levels: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the passes of ``levels`` (default: all) on ``a`` in place,
+    quantizing with :class:`QuantEncoder`, so ``a`` ends as the
+    reconstruction. Returns the code stream and the literals.
+    :func:`compress` runs every level; the tuner's §6.2 probes run one."""
+    enc = QuantEncoder(cfg.radius)
+    stream = np.empty(stream_size(a.shape, cfg, levels), dtype=np.int32)
+
+    def qfun(pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray) -> np.ndarray:
+        return enc.quantize(pred, a[sel], e_l, out)
+
+    _Walk(a, e, cfg, qfun, stream).run(levels)
+    return stream, enc.literals()
+
+
 def compress(
     data: np.ndarray, e: float, cfg: EngineConfig
 ) -> tuple[bytes, np.ndarray]:
@@ -414,13 +432,7 @@ def compress(
     # a copy, always: the walk writes its reconstruction into ``a``
     a = np.array(data, dtype=np.float64, order="C")
     anchors = np.ascontiguousarray(data[_anchor_sel(a.shape, cfg)])
-    enc = QuantEncoder(cfg.radius)
-    stream = np.empty(stream_size(a.shape, cfg), dtype=np.int32)
-
-    def qfun(pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray) -> np.ndarray:
-        return enc.quantize(pred, a[sel], e_l, out)
-
-    _Walk(a, e, cfg, qfun, stream).run()
+    stream, lits = encode_walk(a, e, cfg)
 
     meta = {
         "shape": list(data.shape),
@@ -433,7 +445,7 @@ def compress(
         ("anchors", container.array_section(anchors)),
         ("codes", codes_mod.encode(stream, center=cfg.radius)),
     ]
-    lits = enc.literals().astype(orig_dtype if orig_dtype.kind == "f" else np.float64)
+    lits = lits.astype(orig_dtype if orig_dtype.kind == "f" else np.float64)
     if lits.size:
         sections.append(
             ("literals", lossless.compress(container.array_section(lits)))

@@ -8,10 +8,14 @@ point-wise error-bounded one. This reproduction keeps that structure:
 2. uniform scalar quantization of all coefficients (step from the
    tolerance; SPECK's bitplane coding is replaced by the repo's
    byte-plane + DEFLATE coder, see ``core/codes.py``);
-3. in-loop decompression to find points whose error exceeds the bound,
-   encoded as an (index, quantized-residual) correction list;
-4. if corrections would exceed ~2 % of points, the step is halved and
-   the loop retries (up to 3 times) — mirroring SPERR's quality loop.
+3. in-loop decompression to find points whose error exceeds the bound;
+   if they are more than 2 % of the points, the step is halved and the
+   loop retries (at most 4 tries) — mirroring SPERR's quality loop;
+4. the points still out of bound go to an (index, quantized-residual)
+   correction list.
+
+Steps 3 and 4 are ``core/corrections.py``, shared with tthresh (and,
+for the list, zfp).
 
 The in-loop inverse transform is why this codec is several times slower
 than the interpolation compressors, exactly as in paper Table 2.
@@ -21,12 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import codes as codes_mod
-from ..core import container, lossless
+from ..core import container, corrections
 from . import wavelet
 
 _LEVELS = 4
-_MAX_RETRY = 3
-_CORR_FRACTION = 0.02
 
 
 def _n_levels(shape: tuple[int, ...]) -> int:
@@ -46,18 +48,9 @@ def compress(data: np.ndarray, e: float) -> bytes:
     # Initial step: wavelet synthesis of i.i.d. quantization noise keeps
     # most points within ~2x the coefficient noise; start optimistic and
     # let the correction loop tighten.
-    step = e
-    for attempt in range(_MAX_RETRY + 1):
-        q = np.rint(coeffs / (2.0 * step)).astype(np.int64)
-        recon = wavelet.inverse(2.0 * step * q.astype(np.float64), levels)
-        err = a - recon
-        bad = np.abs(err) > e
-        nbad = int(bad.sum())
-        if nbad <= _CORR_FRACTION * a.size or attempt == _MAX_RETRY:
-            break
-        step *= 0.5
-    idx = np.flatnonzero(bad.ravel()).astype(np.int64)
-    corr = np.rint(err.ravel()[idx] / e).astype(np.int32)
+    step, q, recon = corrections.search_step(
+        a, e, coeffs, lambda c: wavelet.inverse(c, levels), shrink=0.5
+    )
     meta = {
         "shape": list(a.shape),
         "dtype": np.asarray(data).dtype.str,
@@ -69,13 +62,7 @@ def compress(data: np.ndarray, e: float) -> bytes:
         ("meta", container.json_section(meta)),
         ("codes", codes_mod.encode(q.ravel(), center=0)),
     ]
-    if idx.size:
-        didx = np.diff(idx, prepend=0)
-        sections.append(
-            ("corr_idx", codes_mod.encode(didx, center=0))
-        )
-        sections.append(("corr_val", codes_mod.encode(corr, center=0)))
-    return container.pack(sections)
+    return container.pack(sections + corrections.sections(a, recon, e))
 
 
 def decompress(blob: bytes) -> np.ndarray:
@@ -86,10 +73,4 @@ def decompress(blob: bytes) -> np.ndarray:
     step = float(meta["step"])
     q = codes_mod.decode(sec["codes"]).reshape(shape)
     recon = wavelet.inverse(2.0 * step * q.astype(np.float64), int(meta["levels"]))
-    if "corr_idx" in sec:
-        idx = np.cumsum(codes_mod.decode(sec["corr_idx"]))
-        corr = codes_mod.decode(sec["corr_val"]).astype(np.float64)
-        flat = recon.ravel()
-        flat[idx] += corr * e
-        recon = flat.reshape(shape)
-    return recon
+    return corrections.apply(recon, sec, e)

@@ -9,7 +9,8 @@ matrices per mode plus a quantized core tensor. This reproduction:
 3. uniform core quantization, step found by an iterative search against
    the measured point-wise error (real TTHRESH bounds RMSE only; the
    search plus a correction list makes this strictly error-bounded like
-   every codec in this repo — noted deviation);
+   every codec in this repo — noted deviation). Search and list are
+   sperr's, ``core/corrections.py``, with the step shrunk by 0.4 a try;
 4. factors stored as float32, core codes through the byte-plane coder.
 
 The repeated full reconstructions in the step search are why this codec
@@ -21,10 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import codes as codes_mod
-from ..core import container, lossless
-
-_MAX_ITER = 4
-_CORR_FRACTION = 0.02
+from ..core import container, corrections, lossless
 
 
 def _mode_factors(a: np.ndarray) -> list[np.ndarray]:
@@ -63,22 +61,9 @@ def compress(data: np.ndarray, e: float) -> bytes:
     # same ones in-loop so the correction list matches bit-for-bit.
     fac32 = [f.astype(np.float32) for f in factors]
     factors = [f.astype(np.float64) for f in fac32]
-    step = e
-    best = None
-    for _ in range(_MAX_ITER):
-        q = np.rint(core / (2.0 * step)).astype(np.int64)
-        recon = _tucker_compose(2.0 * step * q.astype(np.float64), factors)
-        err = a - recon
-        bad = np.abs(err) > e
-        nbad = int(bad.sum())
-        best = (step, q, err, bad)
-        if nbad <= _CORR_FRACTION * a.size:
-            break
-        step *= 0.4
-    assert best is not None
-    step, q, err, bad = best
-    idx = np.flatnonzero(bad.ravel()).astype(np.int64)
-    corr = np.rint(err.ravel()[idx] / e).astype(np.int64)
+    step, q, recon = corrections.search_step(
+        a, e, core, lambda c: _tucker_compose(c, factors), shrink=0.4
+    )
     meta = {
         "shape": list(a.shape),
         "dtype": np.asarray(data).dtype.str,
@@ -91,10 +76,7 @@ def compress(data: np.ndarray, e: float) -> bytes:
     ]
     for d, f in enumerate(fac32):
         sections.append((f"factor{d}", lossless.compress(container.array_section(f))))
-    if idx.size:
-        sections.append(("corr_idx", codes_mod.encode(np.diff(idx, prepend=0), center=0)))
-        sections.append(("corr_val", codes_mod.encode(corr, center=0)))
-    return container.pack(sections)
+    return container.pack(sections + corrections.sections(a, recon, e))
 
 
 def decompress(blob: bytes) -> np.ndarray:
@@ -110,10 +92,4 @@ def decompress(blob: bytes) -> np.ndarray:
     ]
     q = codes_mod.decode(sec["codes"]).reshape(shape)
     recon = _tucker_compose(2.0 * step * q.astype(np.float64), factors)
-    if "corr_idx" in sec:
-        idx = np.cumsum(codes_mod.decode(sec["corr_idx"]))
-        corr = codes_mod.decode(sec["corr_val"]).astype(np.float64)
-        flat = recon.ravel()
-        flat[idx] += corr * e
-        recon = flat.reshape(shape)
-    return recon
+    return corrections.apply(recon, sec, e)

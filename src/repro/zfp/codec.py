@@ -13,12 +13,12 @@ coding — fastest codec, lowest ratio):
 5. per-block fixed-width bit packing (groups of equal width packed
    vectorized) — deliberately *no* global entropy stage, like ZFP;
 6. a correction list guarantees the point-wise bound exactly (real ZFP's
-   fixed-accuracy mode guarantees it analytically). The gain bound is
+   fixed-accuracy mode guarantees it analytically); it is the one that
+   sperr and tthresh write, ``core/corrections.py``. The gain bound is
    not tight enough to make it empty: 15 of the 48 blobs over the eight
    datasets at test and bench scale and eps 1e-2/1e-3/1e-4 carry one,
    and a bound far below a block's mantissa resolution corrects most
-   points by many ``e``. Corrections are stored as int8 when every one
-   fits, else as int64.
+   points by many ``e``.
 
 Decompression reverses the steps; everything is whole-array NumPy, which
 is why this codec tops the speed table like ZFP does in paper Table 2.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import container, lossless
+from ..core import container, corrections, lossless
 
 _BLOCK = 4
 #: scale of the block-floating-point mantissa (bits)
@@ -173,22 +173,9 @@ def compress(data: np.ndarray, e: float) -> bytes:
         ("widths", lossless.compress(container.array_section(widths))),
         ("bits", b"".join(payload_parts)),
     ]
-    # correction list guarantees the bound exactly
+    # the correction list guarantees the bound exactly
     recon = _reconstruct(q, step, emax, padded_shape, tuple(data.shape), nd)
-    err = a - recon
-    bad = np.abs(err) > e
-    if bad.any():
-        idx = np.flatnonzero(bad.ravel()).astype(np.int64)
-        corr = np.rint(err.ravel()[idx] / e).astype(np.int64)
-        i8 = np.iinfo(np.int8)
-        if i8.min <= corr.min() and corr.max() <= i8.max:
-            corr = corr.astype(np.int8)
-        sections.append(
-            ("corr_idx", lossless.compress(container.array_section(idx)))
-        )
-        sections.append(
-            ("corr_val", lossless.compress(container.array_section(corr)))
-        )
+    sections += corrections.sections(a, recon, e)
     return container.pack(sections)
 
 
@@ -251,12 +238,4 @@ def decompress(blob: bytes) -> np.ndarray:
     gain = _GAIN_PER_AXIS**nd
     step = np.maximum(np.floor(e * scale / gain), 1.0).astype(np.int64)
     recon = _reconstruct(q, step, emax, padded_shape, shape, nd)
-    if "corr_idx" in sec:
-        idx = container.to_array(lossless.decompress(sec["corr_idx"]))
-        corr = container.to_array(lossless.decompress(sec["corr_val"])).astype(
-            np.float64
-        )
-        flat = recon.ravel()
-        flat[idx] += corr * e
-        recon = flat.reshape(shape)
-    return recon
+    return corrections.apply(recon, sec, e)

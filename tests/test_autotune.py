@@ -168,7 +168,7 @@ def test_lorenzo_test_stops_once_lost(monkeypatch):
     full = sum(len(orig(b, e)) for b in blocks)
     assert full * autotune.LORENZO_COEF >= best_bytes
     assert not res.use_lorenzo
-    assert res.sigma2 == ref.sigma2
+    assert res.cfg.md_sigma2 == ref.cfg.md_sigma2
     assert res.cfg.to_dict() == ref.cfg.to_dict()
     if ref.cfg.block_cfg is None:
         assert res.cfg.block_cfg is None
@@ -240,3 +240,24 @@ def test_tune_blocks_matches_per_block_loop(shape, frozen, global_spline):
             assert got is None
         else:
             np.testing.assert_array_equal(got, want)
+
+
+def test_probe_scores_the_payload_code_stream():
+    """A §6.2 probe quantizes as the encoder does: on a one-level walk
+    whose residuals saturate the quantizer, it scores exactly the bytes
+    of the payload's ``codes`` section."""
+    from repro.core import container
+    from repro.core.interp import EngineConfig
+
+    f = np.zeros(1025)
+    rng = np.random.default_rng(0)
+    f[1::8] = 1e6 * rng.choice([-1.0, 1.0], f[1::8].size)
+    e = 1.0
+    cfg = EngineConfig(
+        anchor_stride=2,
+        level_configs=(InterpConfig("1d", "cubic_nak", False, None),),
+    )
+    nbytes, count = autotune._probe_level(f.copy(), e, cfg, 1)
+    blob, _ = interp.compress(f, e, cfg)
+    assert nbytes == len(container.unpack(blob)["codes"])
+    assert count == interp.stream_size(f.shape, cfg)
