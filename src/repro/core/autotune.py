@@ -85,7 +85,7 @@ class TuneResult:
 # ---------------------------------------------------------------------------
 def axis_interp_mse(data: np.ndarray) -> np.ndarray:
     """Per-axis cubic-interpolation MSE on ~0.2 % sampled points (§6.1)."""
-    a = np.asarray(data, dtype=np.float64)
+    a = np.asarray(data)
     rng = np.random.default_rng(SEED)
     n_samples = max(256, int(a.size * SAMPLE_RATE))
     out = np.zeros(a.ndim)
@@ -97,7 +97,7 @@ def axis_interp_mse(data: np.ndarray) -> np.ndarray:
             if n < 2:
                 out[d] = 0.0
             else:
-                diffs = np.diff(a, axis=d)
+                diffs = np.diff(a.astype(np.float64), axis=d)
                 out[d] = float(np.mean(diffs**2))
             continue
         idx = [
@@ -105,12 +105,13 @@ def axis_interp_mse(data: np.ndarray) -> np.ndarray:
             else rng.integers(3, n - 3, n_samples)
             for ax in range(a.ndim)
         ]
-        center = a[tuple(idx)]
+        # gather the sampled points, then cast: no float64 copy of ``a``
+        center = a[tuple(idx)].astype(np.float64)
         pred = np.zeros(n_samples)
         for off, wi in STENCILS["cubic_nak"]:
             nb = list(idx)
             nb[d] = idx[d] + off
-            pred += wi * a[tuple(nb)]
+            pred += wi * a[tuple(nb)].astype(np.float64)
         out[d] = float(np.mean((center - pred) ** 2))
     return out
 

@@ -6,8 +6,11 @@ import numpy as np
 
 
 def value_range(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    return float(x.max() - x.min())
+    """``max - min`` in float64. The extremes are taken in the input dtype
+    (casting is monotonic, so they are the float64 extremes) without a
+    float64 copy of the whole array."""
+    x = np.asarray(x)
+    return float(x.max()) - float(x.min())
 
 
 def max_abs_err(x: np.ndarray, y: np.ndarray) -> float:
