@@ -261,13 +261,14 @@ def tune_global_interp(
 def _crop_test(
     blocks: list[np.ndarray], e: float, cfg: EngineConfig
 ) -> tuple[int, float]:
-    """Sum of compressed bytes and size-weighted mean PSNR over blocks."""
+    """Sum of compressed bytes and size-weighted mean PSNR over blocks,
+    each crop compressed in its own dtype as the payload stores it."""
     total = 0
     sse = 0.0
     count = 0
     rng = 0.0
     for crop in blocks:
-        payload, recon = interp.compress(crop.astype(np.float32), e, cfg)
+        payload, recon = interp.compress(crop, e, cfg)
         total += len(payload)
         sse += metrics.mse(crop, recon) * crop.size
         count += crop.size

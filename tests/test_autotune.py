@@ -261,3 +261,14 @@ def test_probe_scores_the_payload_code_stream():
     blob, _ = interp.compress(f, e, cfg)
     assert nbytes == len(container.unpack(blob)["codes"])
     assert count == interp.stream_size(f.shape, cfg)
+
+
+def test_crop_test_scores_the_crop_in_its_own_dtype():
+    """§6.3–6.5 crop tests price the payload the crop gets: a float64
+    crop keeps its float64 anchors and literals (no float32 cast)."""
+    rng = np.random.default_rng(2)
+    crop = _smooth((24, 24, 20)).astype(np.float64) + 1e-6 * rng.standard_normal((24, 24, 20))
+    e = 1e-5
+    cfg = interp.EngineConfig()
+    nbytes, _ = autotune._crop_test([crop], e, cfg)
+    assert nbytes == len(interp.compress(crop, e, cfg)[0])
