@@ -63,16 +63,19 @@ SPEED_BYTES = 24_000_000
 
 
 def speed_data(name: str, scale: str = "bench") -> np.ndarray:
-    """Bench field tiled along axis 0 for speed measurements. Tiling
-    repeats structure at distances far beyond the DEFLATE window, so
-    per-byte behaviour matches the untiled field."""
+    """Bench field stacked along axis 0 for speed measurements, from
+    independently seeded tiles (tile ``i`` has ``seed_offset = i``; tile 0
+    is the bench field). Copies of one tile would let the lossless stage
+    match whole tiles in its window: qoz's Miranda ratio at eps = 1e-3
+    read 333 on eleven copies against 65 untiled."""
     data = generate(name, scale)
     if scale != "bench":
         return data
     reps = max(1, int(np.ceil(SPEED_BYTES / data.nbytes)))
     if reps == 1:
         return data
-    return np.concatenate([data] * reps, axis=0)
+    tiles = [data] + [generate(name, scale, seed_offset=i) for i in range(1, reps)]
+    return np.concatenate(tiles, axis=0)
 
 
 def table2_speeds(
