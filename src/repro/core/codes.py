@@ -9,14 +9,14 @@ equivalent-entropy scheme that is fully vectorized both ways:
 * zigzag-map to unsigned,
 * split into little-endian byte planes (plane 0 carries nearly all the
   entropy; higher planes are almost constant zero),
-* DEFLATE each plane (DEFLATE's literal stage *is* Huffman coding, with
-  LZ77 on top standing in for Zstd's match stage).
+* Zstd the planes, one after the other, as one frame (Zstd's literal
+  stage is Huffman coding, with its LZ match stage on top).
 
 Byte-plane layout (``BP01``): magic, then ``<QqB`` = symbol count ``n``,
 ``center`` and plane count ``nbytes`` (1-8, the fewest bytes holding the
-largest zigzag value), then ``nbytes`` records of ``<Q`` length +
-DEFLATE blob, plane 0 (least significant byte) first; each plane
-inflates to exactly ``n`` bytes. Both directions work on an ``(n, w)``
+largest zigzag value), then one Zstd frame (:mod:`.lossless`) of
+``n * nbytes`` bytes: the planes plane-major, plane 0 (least significant
+byte) first, ``n`` bytes each. Both directions work on an ``(n, w)``
 uint8 view of the narrowest unsigned dtype of ``w`` in {1, 2, 4, 8}
 bytes that holds ``nbytes`` planes: column ``b`` is plane ``b``.
 
@@ -68,22 +68,20 @@ def encode(codes: np.ndarray, center: int = 0) -> bytes:
     w = _width(nbytes)
     planes = z.view(f"u{bits // 8}").astype(f"<u{w}", copy=False)
     planes = planes.view(np.uint8).reshape(n, w)
-    out = [_MAGIC_BP, struct.pack("<QqB", n, center, nbytes)]
-    for b in range(nbytes):
-        # a 1-byte plane is contiguous and goes to DEFLATE as is
-        blob = lossless.compress(planes[:, b] if w == 1 else planes[:, b].copy())
-        out.append(struct.pack("<Q", len(blob)))
-        out.append(blob)
-    return b"".join(out)
+    if w == 1:
+        frame = planes.ravel()  # one plane, contiguous as is
+    else:
+        frame = np.ascontiguousarray(planes[:, :nbytes].T).ravel()
+    return _MAGIC_BP + struct.pack("<QqB", n, center, nbytes) + lossless.compress(frame)
 
 
 def decode(blob: bytes) -> np.ndarray:
     """Decode back to int64 codes (center re-added).
 
-    A byte-plane header that is cut short or disagrees with its planes
-    (plane count outside 1-8, a plane not ``n`` bytes long, trailing
-    bytes) raises ``ValueError`` before anything sized by ``n`` is
-    allocated."""
+    A byte-plane header that is cut short or disagrees with its frame
+    (plane count outside 1-8, a frame whose content is not ``n * nbytes``
+    bytes, a damaged frame, trailing bytes) raises ``ValueError`` before
+    anything sized by ``n`` is allocated."""
     if blob[:4] != _MAGIC_BP:
         raise ValueError("unknown code-stream blob")
     if len(blob) < 4 + 17:
@@ -91,25 +89,18 @@ def decode(blob: bytes) -> np.ndarray:
     n, center, nbytes = struct.unpack_from("<QqB", blob, 4)
     if not 1 <= nbytes <= 8:
         raise ValueError(_CORRUPT)
-    off = 4 + 17
-    raw = []
-    for _ in range(nbytes):
-        if off + 8 > len(blob):
-            raise ValueError(_CORRUPT)
-        (ln,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        plane = lossless.decompress(blob[off : off + ln])
-        off += ln
-        if len(plane) != n:
-            raise ValueError(_CORRUPT)
-        raw.append(plane)
-    if off != len(blob):
-        raise ValueError(_CORRUPT)
+    try:
+        raw = lossless.decompress(memoryview(blob)[4 + 17 :], n * nbytes)
+    except ValueError as exc:
+        raise ValueError(_CORRUPT) from exc
+    raw = np.frombuffer(raw, dtype=np.uint8).reshape(nbytes, n)
     w = _width(nbytes)
-    planes = np.zeros((n, w), dtype=np.uint8)
-    for b, plane in enumerate(raw):
-        planes[:, b] = np.frombuffer(plane, dtype=np.uint8)
-    z = planes.view(f"<u{w}").ravel()
+    if w == 1:
+        z = raw[0]
+    else:
+        planes = np.zeros((n, w), dtype=np.uint8)
+        planes[:, :nbytes] = raw.T
+        z = planes.view(f"<u{w}").ravel()
     v = ((z >> 1) ^ -(z & 1)).view(f"<i{w}").astype(np.int64)  # unzigzag
     v += center
     return v

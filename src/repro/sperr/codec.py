@@ -7,7 +7,7 @@ point-wise error-bounded one. This reproduction keeps that structure:
 1. multi-level CDF 9/7 transform (``wavelet.py``);
 2. uniform scalar quantization of all coefficients (step from the
    tolerance; SPECK's bitplane coding is replaced by the repo's
-   byte-plane + DEFLATE coder, see ``core/codes.py``);
+   byte-plane + Zstd coder, see ``core/codes.py``);
 3. in-loop decompression to find points whose error exceeds the bound;
    if they are more than 2 % of the points, the step is halved and the
    loop retries (at most 4 tries) — mirroring SPERR's quality loop;

@@ -1,5 +1,8 @@
-"""Quantization-code coder tests (byte-plane + DEFLATE)."""
+"""Quantization-code coder tests (byte planes + Zstd)."""
 import struct
+import tracemalloc
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from repro.core import codes, lossless
 
 def _uint64_plane_encode(codes_, center):
     """Reference byte-plane encoder as first written: one shift, mask and
-    ``astype`` pass over the uint64 zigzag stream per plane."""
+    ``astype`` pass over the uint64 zigzag stream per plane, the planes
+    joined plane-major into one frame."""
     v = np.asarray(codes_).ravel().astype(np.int64) - center
     z = ((v << 1) ^ (v >> 63)).astype(np.uint64)
     nbytes = 1
@@ -19,12 +23,12 @@ def _uint64_plane_encode(codes_, center):
         m = int(z.max())
         while m >> (8 * nbytes):
             nbytes += 1
-    out = [b"BP01", struct.pack("<QqB", z.size, center, nbytes)]
-    for b in range(nbytes):
-        plane = ((z >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(np.uint8)
-        blob = lossless.compress(plane.tobytes())
-        out += [struct.pack("<Q", len(blob)), blob]
-    return b"".join(out)
+    planes = [
+        ((z >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(np.uint8).tobytes()
+        for b in range(nbytes)
+    ]
+    header = b"BP01" + struct.pack("<QqB", z.size, center, nbytes)
+    return header + lossless.compress(b"".join(planes))
 
 
 #: largest zigzag value -> 1, 2, 3, 4, 5, 6, 7 and 8 byte planes
@@ -159,3 +163,97 @@ def _byteplane_blob():
 def test_rejects_corrupt_byteplane_header(damage):
     with pytest.raises(ValueError, match="corrupt code-stream blob"):
         codes.decode(damage(_byteplane_blob()))
+
+
+def _deflate_era_encode(codes_, center):
+    """The code-stream format before the Zstd back-end: the same
+    ``BP01`` header, then per plane a ``<Q`` length and a DEFLATE-6
+    stream."""
+    v = np.asarray(codes_).ravel().astype(np.int64) - center
+    z = ((v << 1) ^ (v >> 63)).astype(np.uint64)
+    out = [b"BP01", struct.pack("<QqB", z.size, center, 1)]
+    blob = zlib.compress(z.astype(np.uint8).tobytes(), 6)
+    return b"".join(out + [struct.pack("<Q", len(blob)), blob])
+
+
+def test_rejects_deflate_era_blob():
+    """A code stream written with the DEFLATE back-end is rejected, not
+    decoded by a second path."""
+    blob = _deflate_era_encode(np.arange(-50, 50), 0)
+    with pytest.raises(ValueError, match="corrupt code-stream blob"):
+        codes.decode(blob)
+
+
+def test_flipped_bit_never_decodes_wrong():
+    """Every single-bit flip inside the frame raises ``ValueError`` or
+    decodes to the same stream (a few header and table bits do not
+    change the content, which the frame checksum then vouches for); a
+    flip in the checksum itself raises."""
+    arr = np.rint(np.random.default_rng(3).standard_normal(500) * 2).astype(np.int64)
+    blob = codes.encode(arr)
+    raised = 0
+    for bit in range(21 * 8, len(blob) * 8):
+        bad = bytearray(blob)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        try:
+            out = codes.decode(bytes(bad))
+        except ValueError:
+            raised += 1
+            continue
+        np.testing.assert_array_equal(out, arr)
+    assert raised > 0.9 * (len(blob) - 21) * 8
+    bad = bytearray(blob)
+    bad[-1] ^= 0x10  # frame checksum
+    with pytest.raises(ValueError, match="corrupt code-stream blob"):
+        codes.decode(bytes(bad))
+
+
+def _huge_frame(claim: int) -> bytes:
+    """A Zstd frame header claiming ``claim`` content bytes (single
+    segment, 8-byte content size), then one raw 1-byte last block."""
+    return b"\x28\xb5\x2f\xfd\xe0" + struct.pack("<Q", claim) + b"\x09\x00\x00" + b"\x07"
+
+
+def test_huge_content_size_raises_before_allocating():
+    """A frame (or byte-plane header) claiming a huge content size raises
+    ``ValueError`` without allocating for it."""
+    claim = 1 << 40
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="corrupt zstd frame"):
+            lossless.decompress(_huge_frame(claim))
+        blob = b"BP01" + struct.pack("<QqB", claim, 0, 1) + _huge_frame(claim)
+        with pytest.raises(ValueError, match="corrupt code-stream blob"):
+            codes.decode(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_repeated_calls_give_identical_bytes():
+    """The per-thread contexts carry nothing from one call to the next,
+    also after a failed decode."""
+    arr = np.rint(np.random.default_rng(4).standard_normal(20000) * 3).astype(np.int64)
+    first = codes.encode(arr, center=0)
+    bad = bytearray(first)
+    bad[len(bad) // 2] ^= 0xFF
+    with pytest.raises(ValueError):
+        codes.decode(bytes(bad))
+    again = codes.encode(arr, center=0)
+    assert again == first
+    np.testing.assert_array_equal(codes.decode(again), arr)
+
+
+def test_threads_give_the_serial_bytes():
+    """Four threads coding at once (each with its own contexts) write
+    and read the bytes of a serial run."""
+    rng = np.random.default_rng(5)
+    streams = [rng.integers(-(8 ** k), 8 ** k, 30000 + 1000 * k) for k in range(1, 9)]
+    serial = [codes.encode(s) for s in streams]
+    with ThreadPoolExecutor(4) as pool:
+        parallel = list(pool.map(codes.encode, streams))
+        decoded = list(pool.map(codes.decode, parallel))
+    assert parallel == serial
+    for s, d in zip(streams, decoded):
+        np.testing.assert_array_equal(d, s)

@@ -16,29 +16,28 @@ the payload format on purpose regenerates the fixture in one step::
 
     PYTHONPATH=src python -m tests.test_golden_payloads
 
-The hashes depend on the zlib build's DEFLATE output; the fixture records
-the zlib version it was made with, and a different zlib fails the test
-before any hash is compared.
+The hashes depend on the libzstd build's output; the fixture records the
+libzstd version (``ZSTD_versionNumber``) it was made with, and a different
+libzstd fails the test before any hash is compared.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from repro import codecs
-from repro.core import interp
+from repro.core import interp, lossless
 from repro.core.interp import EngineConfig, InterpConfig
 from repro.datasets import TEST_SHAPES, generate
 
 from .test_interp_engine import _field
 
 FIXTURE = Path(__file__).with_name("golden_payloads.json")
-ZLIB_KEY = "_zlib"
+ZSTD_KEY = "_zstd"
 
 ENGINE_SHAPES = ((97,), (37, 41), (19, 23, 17), (7, 9, 6, 10))
 #: relative bounds of the codec cases besides 1e-3
@@ -84,7 +83,7 @@ def _engine_cases() -> dict[str, tuple[np.ndarray, float, EngineConfig]]:
 
 def golden_hashes() -> dict[str, str]:
     """sha256 of every golden payload and decompressed array, by case."""
-    out = {ZLIB_KEY: zlib.ZLIB_RUNTIME_VERSION}
+    out = {ZSTD_KEY: lossless.VERSION}
     runs: list[tuple[str, np.ndarray, str, float, dict]] = [
         (f"codec/{c}/{d}" + ("" if eps == 1e-3 else f"/eps{eps:g}"), generate(d), c, eps, {})
         for eps in (1e-3,) + CODEC_EPS
@@ -110,7 +109,7 @@ def _engine_hashes() -> dict[str, str]:
 
 def _expected() -> dict[str, str]:
     expect = json.loads(FIXTURE.read_text())
-    assert zlib.ZLIB_RUNTIME_VERSION == expect[ZLIB_KEY], "fixture made with another zlib"
+    assert lossless.VERSION == expect[ZSTD_KEY], "fixture made with another libzstd"
     return expect
 
 
