@@ -17,8 +17,9 @@ Byte-plane layout (``BP01``): magic, then ``<QqB`` = symbol count ``n``,
 largest zigzag value), then one Zstd frame (:mod:`.lossless`) of
 ``n * nbytes`` bytes: the planes plane-major, plane 0 (least significant
 byte) first, ``n`` bytes each. Both directions work on an ``(n, w)``
-uint8 view of the narrowest unsigned dtype of ``w`` in {1, 2, 4, 8}
-bytes that holds ``nbytes`` planes: column ``b`` is plane ``b``.
+little-endian uint8 view of the zigzag stream, column ``b`` being plane
+``b``: the encoder's ``w`` is its int32 or int64 width, the decoder's the
+narrowest of {1, 2, 4, 8} bytes that holds ``nbytes`` planes.
 
 A test in ``tests/test_codes.py`` pins the coded size of SZ-style
 quantization codes within 25 % of their marginal-entropy floor, the
@@ -61,18 +62,16 @@ def encode(codes: np.ndarray, center: int = 0) -> bytes:
     i32 = np.iinfo(np.int32)
     fits = i32.min <= min(vmin, lo, center) and max(vmax, hi, center) <= i32.max
     bits = 32 if fits else 64
-    z = np.subtract(v, center, dtype=f"i{bits // 8}")
+    z = np.subtract(v, center, dtype=f"<i{bits // 8}")
     sign = z >> (bits - 1)
     z <<= 1
     z ^= sign  # zigzag
-    w = _width(nbytes)
-    planes = z.view(f"u{bits // 8}").astype(f"<u{w}", copy=False)
-    planes = planes.view(np.uint8).reshape(n, w)
-    if w == 1:
-        frame = planes.ravel()  # one plane, contiguous as is
-    else:
-        frame = np.ascontiguousarray(planes[:, :nbytes].T).ravel()
-    return _MAGIC_BP + struct.pack("<QqB", n, center, nbytes) + lossless.compress(frame)
+    columns = z.view(np.uint8).reshape(n, bits // 8)
+    frame = np.empty((nbytes, n), dtype=np.uint8)
+    for b in range(nbytes):
+        frame[b] = columns[:, b]
+    header = _MAGIC_BP + struct.pack("<QqB", n, center, nbytes)
+    return header + lossless.compress(frame.ravel())
 
 
 def decode(blob: bytes) -> np.ndarray:
@@ -99,7 +98,8 @@ def decode(blob: bytes) -> np.ndarray:
         z = raw[0]
     else:
         planes = np.zeros((n, w), dtype=np.uint8)
-        planes[:, :nbytes] = raw.T
+        for b in range(nbytes):  # one plane at a time: a long inner loop
+            planes[:, b] = raw[b]
         z = planes.view(f"<u{w}").ravel()
     v = ((z >> 1) ^ -(z & 1)).view(f"<i{w}").astype(np.int64)  # unzigzag
     v += center
