@@ -1,5 +1,7 @@
 """Quantization-code coder tests (byte planes + Zstd)."""
+import os
 import struct
+import sys
 import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -246,14 +248,20 @@ def test_repeated_calls_give_identical_bytes():
 
 
 def test_threads_give_the_serial_bytes():
-    """Four threads coding at once (each with its own contexts) write
-    and read the bytes of a serial run."""
+    """Threads coding at once (each with its own contexts; more threads
+    than cores, with a short switch interval) write and read the bytes
+    of a serial run."""
     rng = np.random.default_rng(5)
-    streams = [rng.integers(-(8 ** k), 8 ** k, 30000 + 1000 * k) for k in range(1, 9)]
+    streams = [rng.integers(-(8**k), 8**k, 30000 + 1000 * k) for k in range(1, 9)] * 4
     serial = [codes.encode(s) for s in streams]
-    with ThreadPoolExecutor(4) as pool:
-        parallel = list(pool.map(codes.encode, streams))
-        decoded = list(pool.map(codes.decode, parallel))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max(4, 2 * (os.cpu_count() or 1))) as pool:
+            parallel = list(pool.map(codes.encode, streams, timeout=60))
+            decoded = list(pool.map(codes.decode, parallel, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     assert parallel == serial
     for s, d in zip(streams, decoded):
         np.testing.assert_array_equal(d, s)
