@@ -16,10 +16,17 @@ Byte-plane layout (``BP01``): magic, then ``<QqB`` = symbol count ``n``,
 ``center`` and plane count ``nbytes`` (1-8, the fewest bytes holding the
 largest zigzag value), then one Zstd frame (:mod:`.lossless`) of
 ``n * nbytes`` bytes: the planes plane-major, plane 0 (least significant
-byte) first, ``n`` bytes each. Both directions work on an ``(n, w)``
-little-endian uint8 view of the zigzag stream, column ``b`` being plane
-``b``: the encoder's ``w`` is its int32 or int64 width, the decoder's the
-narrowest of {1, 2, 4, 8} bytes that holds ``nbytes`` planes.
+byte) first, ``n`` bytes each.
+
+Codes keep their natural width both ways. ``nbytes`` planes hold every
+recentred value in ``[-2^(8 nbytes - 1), 2^(8 nbytes - 1))``, so the
+encoder recentres and zigzags in ``w``-byte modular arithmetic, ``w``
+the narrowest of {1, 2, 4, 8} bytes holding ``nbytes`` planes, whatever
+the input's width (an interpolation stream at radius 32768 is uint16
+and stays so). The decoder writes the planes straight into the
+narrowest integer dtype holding ``center`` plus that range
+(:func:`decoded_dtype`): uint16 for such a stream, int8 for a
+one-plane stream centred on 0.
 
 A test in ``tests/test_codes.py`` pins the coded size of SZ-style
 quantization codes within 25 % of their marginal-entropy floor, the
@@ -38,6 +45,12 @@ _MAGIC_BP = b"BP01"
 _CORRUPT = "corrupt code-stream blob"
 
 
+#: candidate decode dtypes, narrowest first
+_DTYPES = tuple(
+    np.dtype(f"<{k}{w}") for w in (1, 2, 4) for k in ("i", "u")
+) + (np.dtype("<i8"),)
+
+
 def _width(nbytes: int) -> int:
     """Narrowest unsigned dtype width (bytes) holding ``nbytes`` planes."""
     return next(w for w in (1, 2, 4, 8) if w >= nbytes)
@@ -49,24 +62,40 @@ def _zigzag_max(lo: int, hi: int) -> int:
     return max(2 * v if v >= 0 else -2 * v - 1 for v in (lo, hi))
 
 
+def decoded_dtype(center: int, nbytes: int) -> np.dtype:
+    """Narrowest integer dtype holding every value an ``nbytes``-plane
+    stream around ``center`` can carry, ``center + [-2^(8 nbytes - 1),
+    2^(8 nbytes - 1))``; int64 when none does (8 planes, ``center != 0``:
+    the encoder's input was int64, so its values still fit)."""
+    half = 1 << (8 * nbytes - 1)
+    lo, hi = center - half, center + half - 1
+    for dt in _DTYPES:
+        info = np.iinfo(dt)
+        if info.min <= lo and hi <= info.max:
+            return dt
+    return _DTYPES[-1]
+
+
 def encode(codes: np.ndarray, center: int = 0) -> bytes:
     """Encode an integer code stream; ``center`` is subtracted first.
 
-    The zigzag runs in int32 when the stream, ``center`` and the
-    recentred values all fit, else in int64; both give the same bytes."""
+    Recentring and zigzag run in the narrowest unsigned width holding the
+    planes, modulo ``2^(8 w)``: exact, since every recentred value fits
+    in ``w`` signed bytes. Raises ``ValueError`` when a recentred value
+    does not fit in int64."""
     v = np.asarray(codes).ravel()
     n = v.size
     vmin, vmax = (int(v.min()), int(v.max())) if n else (center, center)
-    lo, hi = vmin - center, vmax - center
-    nbytes = max(1, (_zigzag_max(lo, hi).bit_length() + 7) // 8)
-    i32 = np.iinfo(np.int32)
-    fits = i32.min <= min(vmin, lo, center) and max(vmax, hi, center) <= i32.max
-    bits = 32 if fits else 64
-    z = np.subtract(v, center, dtype=f"<i{bits // 8}")
-    sign = z >> (bits - 1)
+    nbytes = max(1, (_zigzag_max(vmin - center, vmax - center).bit_length() + 7) // 8)
+    if nbytes > 8:
+        raise ValueError("recentred codes do not fit in int64")
+    w = _width(nbytes)
+    bits = 8 * w
+    z = np.subtract(v, center % (1 << bits), dtype=f"<u{w}", casting="unsafe")
+    sign = z.view(f"<i{w}") >> (bits - 1)
     z <<= 1
-    z ^= sign  # zigzag
-    columns = z.view(np.uint8).reshape(n, bits // 8)
+    z ^= sign.view(z.dtype)  # zigzag
+    columns = z.view(np.uint8).reshape(n, w)
     frame = np.empty((nbytes, n), dtype=np.uint8)
     for b in range(nbytes):
         frame[b] = columns[:, b]
@@ -75,7 +104,9 @@ def encode(codes: np.ndarray, center: int = 0) -> bytes:
 
 
 def decode(blob: bytes) -> np.ndarray:
-    """Decode back to int64 codes (center re-added).
+    """Decode back to the integer codes (center re-added), in the dtype
+    :func:`decoded_dtype` gives for the header's ``center`` and
+    ``nbytes``.
 
     A byte-plane header that is cut short or disagrees with its frame
     (plane count outside 1-8, a frame whose content is not ``n * nbytes``
@@ -93,14 +124,17 @@ def decode(blob: bytes) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(_CORRUPT) from exc
     raw = np.frombuffer(raw, dtype=np.uint8).reshape(nbytes, n)
-    w = _width(nbytes)
-    if w == 1:
-        z = raw[0]
-    else:
-        planes = np.zeros((n, w), dtype=np.uint8)
-        for b in range(nbytes):  # one plane at a time: a long inner loop
-            planes[:, b] = raw[b]
-        z = planes.view(f"<u{w}").ravel()
-    v = ((z >> 1) ^ -(z & 1)).view(f"<i{w}").astype(np.int64)  # unzigzag
-    v += center
-    return v
+    dt = decoded_dtype(center, nbytes)
+    # the planes go to the low bytes of each element, then unzigzag and
+    # recentre in place, modulo 2^(8 w): exact, as the values fit ``dt``
+    w = dt.itemsize
+    z = np.zeros(n, dtype=f"<u{w}")
+    columns = z.view(np.uint8).reshape(n, w)
+    for b in range(nbytes):  # one plane at a time: a long inner loop
+        columns[:, b] = raw[b]
+    sign = z & 1
+    np.negative(sign, out=sign)
+    z >>= 1
+    z ^= sign  # unzigzag
+    z += center % (1 << (8 * w))
+    return z.view(dt)

@@ -31,7 +31,10 @@ walk on a NaN-initialized array and never reads an unwritten point.
 its passes, the code stream is laid out in its order (each pass owns the
 next ``Pass.size`` codes, C order over its targets), and
 :func:`encode_walk` quantizes it: :func:`compress` over every level, the
-tuner's §6.2 probes over one level at a time.
+tuner's §6.2 probes over one level at a time. The stream keeps the
+codes' natural width, the narrowest unsigned dtype holding
+``[0, 2 radius)`` (uint16 at radius 32768), from the quantizer through
+the byte planes (:mod:`.codes`) and back into :func:`decompress`.
 
 Each pass (and each same-level phase) runs in slabs of consecutive
 target rows along axis 0, one slab after another: a slab holds at most
@@ -62,19 +65,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from . import codes as codes_mod
 from . import container, lossless, splines
-from .quantizer import QuantDecoder, QuantEncoder
+from .quantizer import QuantDecoder, QuantEncoder, stream_dtype
 
 ALL = slice(None)
 
 #: most targets one slab of a pass predicts and quantizes at a time
 SLAB = 1 << 16
+
+#: most pass plans :func:`passes` keeps
+PLAN_CACHE = 256
 
 #: spline ids used by block-wise tuning (index into this tuple).
 BLOCK_SPLINES = splines.SPLINE_CHOICES
@@ -122,9 +129,6 @@ class EngineConfig:
     fvfi: bool = True  # §5.4.1
     radius: int = 32768
 
-    def level_config(self, l: int) -> InterpConfig:
-        return self.level_configs[min(l, len(self.level_configs)) - 1]
-
     def to_dict(self) -> dict:
         return {
             "anchor_stride": self.anchor_stride,
@@ -161,10 +165,9 @@ def _stencil_name(spline: str, same_level_phase: bool) -> str:
     return splines.SAME_LEVEL_OF[spline]
 
 
-def _active_axes(shape: tuple[int, ...], cfg: EngineConfig) -> tuple[int, ...]:
+def _active_axes(shape: tuple[int, ...], frozen_axes: tuple[int, ...]) -> tuple[int, ...]:
     """Axes the walk interpolates along: not frozen, length >= 2."""
-    frozen = set(cfg.frozen_axes)
-    return tuple(d for d in range(len(shape)) if d not in frozen and shape[d] >= 2)
+    return tuple(d for d in range(len(shape)) if d not in frozen_axes and shape[d] >= 2)
 
 
 def _put(sel: tuple, ax: int, sl: slice) -> tuple:
@@ -193,17 +196,38 @@ class Pass:
 
 def passes(
     shape: tuple[int, ...], cfg: EngineConfig, levels: tuple[int, ...] | None = None
-) -> Iterator[Pass]:
+) -> tuple[Pass, ...]:
     """The walk's passes in execution order, levels ``m..1`` (or only
     ``levels``). Every non-anchor point is the target of exactly one pass,
-    so the same sequence also orders the serialized code stream."""
-    active = _active_axes(shape, cfg)
-    m = int(cfg.anchor_stride).bit_length() - 1
+    so the same sequence also orders the serialized code stream.
+
+    A plan depends only on the key below, and the tuner walks the same
+    few shapes and configs hundreds of times, so plans are cached."""
+    return _plan(
+        tuple(shape),
+        int(cfg.anchor_stride),
+        tuple(cfg.level_configs),
+        tuple(cfg.frozen_axes),
+        None if levels is None else tuple(levels),
+    )
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(
+    shape: tuple[int, ...],
+    anchor_stride: int,
+    level_configs: tuple[InterpConfig, ...],
+    frozen_axes: tuple[int, ...],
+    levels: tuple[int, ...] | None,
+) -> tuple[Pass, ...]:
+    plan = []
+    active = _active_axes(shape, frozen_axes)
+    m = anchor_stride.bit_length() - 1
     for l in range(m, 0, -1):
         if levels is not None and l not in levels:
             continue
         s = 1 << (l - 1)
-        lc = cfg.level_config(l)
+        lc = level_configs[min(l, len(level_configs)) - 1]
         # (target axes, known-grid stride of every active axis)
         if lc.paradigm == "1d" or len(active) == 1:
             # one pass per axis in dim order; earlier axes are already
@@ -231,9 +255,12 @@ def passes(
                 else slice(0, None, stride[ax]) if ax in stride else ALL
                 for ax in range(len(shape))
             )
-            yield Pass(
-                l, lc, axes, sel, tuple(len(range(n)[sl]) for n, sl in zip(shape, sel))
+            plan.append(
+                Pass(
+                    l, lc, axes, sel, tuple(len(range(n)[sl]) for n, sl in zip(shape, sel))
+                )
             )
+    return tuple(plan)
 
 
 def stream_size(
@@ -396,7 +423,7 @@ class _Walk:
 
 
 def _anchor_sel(shape: tuple[int, ...], cfg: EngineConfig) -> tuple:
-    active = _active_axes(shape, cfg)
+    active = _active_axes(shape, tuple(cfg.frozen_axes))
     return tuple(
         slice(0, None, cfg.anchor_stride) if ax in active else ALL
         for ax in range(len(shape))
@@ -411,7 +438,7 @@ def encode_walk(
     reconstruction. Returns the code stream and the literals.
     :func:`compress` runs every level; the tuner's §6.2 probes run one."""
     enc = QuantEncoder(cfg.radius)
-    stream = np.empty(stream_size(a.shape, cfg, levels), dtype=np.int32)
+    stream = np.empty(stream_size(a.shape, cfg, levels), dtype=stream_dtype(cfg.radius))
 
     def qfun(pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray) -> np.ndarray:
         return enc.quantize(pred, a[sel], e_l, out)

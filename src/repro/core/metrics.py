@@ -14,12 +14,17 @@ def value_range(x: np.ndarray) -> float:
 
 
 def max_abs_err(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.max(np.abs(np.asarray(x, np.float64) - np.asarray(y, np.float64))))
+    """``max |x - y|`` in float64. Both metrics hold one float64 array,
+    the difference, and work on it in place."""
+    d = np.subtract(x, y, dtype=np.float64)
+    np.abs(d, out=d)
+    return float(np.max(d))
 
 
 def mse(x: np.ndarray, y: np.ndarray) -> float:
-    d = np.asarray(x, np.float64) - np.asarray(y, np.float64)
-    return float(np.mean(d * d))
+    d = np.subtract(x, y, dtype=np.float64)
+    np.square(d, out=d)
+    return float(np.mean(d))
 
 
 def psnr(x: np.ndarray, y: np.ndarray) -> float:

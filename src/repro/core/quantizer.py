@@ -7,16 +7,24 @@ Codes are shifted by ``radius`` to be non-negative; code 0 is reserved
 for *unpredictable* points whose exact value is stored in a literal side
 stream (the SZ convention).
 
-There is no grid of codes: the walk hands each call the int32 view of
-the serialized stream that its targets own, a reshaped chunk of one
-``interp.passes`` pass (or a phase / no-FVFI / axis-0 slab sub-view of
-it), so codes are written and read in pass order (DESIGN.md §7). That
+There is no grid of codes: the walk hands each call the view of the
+serialized stream that its targets own (of :func:`stream_dtype`, uint16
+at the default radius), a reshaped chunk of one ``interp.passes`` pass
+(or a phase / no-FVFI / axis-0 slab sub-view of it), so codes are
+written and read in pass order (DESIGN.md §7). That
 order does not depend on same-level phase splits, slabs or the fvfi
 traversal, so none of them changes the encoded size.
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def stream_dtype(radius: int) -> np.dtype:
+    """Narrowest unsigned dtype holding every code, ``[0, 2 radius)``."""
+    return next(
+        np.dtype(f"<u{w}") for w in (1, 2, 4, 8) if 2 * radius <= 1 << (8 * w)
+    )
 
 
 class QuantEncoder:
@@ -29,7 +37,7 @@ class QuantEncoder:
     def quantize(
         self, pred: np.ndarray, truth: np.ndarray, eb: float, out: np.ndarray
     ) -> np.ndarray:
-        """Quantize ``truth - pred`` under bound ``eb`` into the int32
+        """Quantize ``truth - pred`` under bound ``eb`` into the stream
         view ``out`` (``truth``'s shape); return the reconstruction."""
         q = truth - pred
         q /= 2.0 * eb
@@ -51,7 +59,7 @@ class QuantEncoder:
             np.abs(q, out=t)
             bad |= t >= sat
             # -radius shifts to the literal code 0 (and keeps a saturated
-            # q clear of the int32 cast)
+            # q clear of the cast to the stream dtype)
             q[bad] = -self.radius
             lits = truth[bad]
             recon[bad] = lits
@@ -75,7 +83,8 @@ class QuantDecoder:
 
     def dequantize(self, pred: np.ndarray, eb: float, codes: np.ndarray) -> np.ndarray:
         recon = np.empty(codes.shape)
-        np.subtract(codes, self.radius, out=recon)
+        # in float64: a narrow unsigned ``codes`` minus radius would wrap
+        np.subtract(codes, self.radius, out=recon, dtype=np.float64)
         recon *= 2.0 * eb
         recon += pred
         # once every literal is used no zero code is left (interp.decompress

@@ -78,26 +78,48 @@ def speed_data(name: str, scale: str = "bench") -> np.ndarray:
     return np.concatenate(tiles, axis=0)
 
 
+#: timed round trips per Table 2 cell; single runs on a shared machine
+#: read up to 45 % apart, so a cell reports the median and the range
+SPEED_REPEATS = 5
+
+
 def table2_speeds(
     scale: str = "bench",
     eps: float = 1e-3,
     codec_names: Sequence[str] = codecs.ALL_CODECS,
     datasets: Sequence[str] = FP_DATASETS,
 ) -> list[dict]:
-    """Table 2: compression/decompression speeds (MB/s) at eps=1e-3."""
+    """Table 2: compression/decompression speeds (MB/s) at eps=1e-3.
+
+    Each cell is timed :data:`SPEED_REPEATS` times, the codecs
+    interleaved (one round trip of every codec per repeat), so a slow
+    spell of the machine hits every codec alike. ``comp_mbps`` and
+    ``decomp_mbps`` are the medians, ``*_min`` / ``*_max`` the range."""
     rows = []
     for ds in datasets:
         data = speed_data(ds, scale)
         mb = data.nbytes / 1e6
+        comp: dict[str, list[float]] = {c: [] for c in codec_names}
+        dec: dict[str, list[float]] = {c: [] for c in codec_names}
+        size: dict[str, int] = {}
+        for _ in range(SPEED_REPEATS):
+            for c in codec_names:
+                blob, _, t_comp, t_dec = codecs.roundtrip(c, data, eps)
+                comp[c].append(mb / t_comp)
+                dec[c].append(mb / t_dec)
+                size[c] = len(blob)
         for c in codec_names:
-            blob, _, t_comp, t_dec = codecs.roundtrip(c, data, eps)
             rows.append(
                 {
                     "dataset": ds,
                     "codec": c,
-                    "comp_mbps": mb / t_comp,
-                    "decomp_mbps": mb / t_dec,
-                    "cr": data.nbytes / len(blob),
+                    "comp_mbps": float(np.median(comp[c])),
+                    "comp_min": min(comp[c]),
+                    "comp_max": max(comp[c]),
+                    "decomp_mbps": float(np.median(dec[c])),
+                    "decomp_min": min(dec[c]),
+                    "decomp_max": max(dec[c]),
+                    "cr": data.nbytes / size[c],
                 }
             )
     return rows

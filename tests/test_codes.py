@@ -74,8 +74,54 @@ def test_roundtrip(n, zmax, center):
         # zigzag of i32.min - center needs a fifth plane unless center is 0
         assert blob[20] == (4 if center == 0 else 5)
     out = codes.decode(blob)
+    assert out.dtype == _narrowest(center, blob[20])
+    np.testing.assert_array_equal(out, arr)
+
+
+def _narrowest(center, nbytes):
+    """Narrowest integer dtype holding ``center`` plus every value
+    ``nbytes`` zigzag planes carry; int64 when none does."""
+    half = 1 << (8 * nbytes - 1)
+    for t in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32):
+        if np.iinfo(t).min <= center - half and center + half - 1 <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
+
+
+@pytest.mark.parametrize(
+    "center, nbytes, dtype",
+    [(32768, 1, np.uint16), (32768, 2, np.uint16), (0, 1, np.int8),
+     (0, 8, np.int64), (-5, 8, np.int64), (2**31, 4, np.uint32)],
+)
+def test_decode_dtype_is_the_narrowest(center, nbytes, dtype):
+    """An interpolation stream (center 32768, at most 2 planes) decodes
+    to uint16; 8 planes off center 0 fit no narrower dtype than int64."""
+    assert codes.decoded_dtype(center, nbytes) == dtype == _narrowest(center, nbytes)
+
+
+def test_eight_plane_stream_off_center_roundtrips():
+    arr = np.array([2**62, -(2**62), 0, 7, -5], dtype=np.int64)
+    blob = codes.encode(arr, center=-5)
+    assert blob[20] == 8
+    out = codes.decode(blob)
     assert out.dtype == np.int64
     np.testing.assert_array_equal(out, arr)
+
+
+def test_codes_past_int64_raise():
+    with pytest.raises(ValueError):
+        codes.encode(np.array([2**63 - 1]), center=-5)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.int64])
+def test_input_width_does_not_change_the_bytes(dtype):
+    """A uint16 interpolation stream codes to the bytes its int64 copy
+    does."""
+    rng = np.random.default_rng(3)
+    arr = np.concatenate([[0, 65535], rng.integers(32700, 32900, 5000)])
+    blob = codes.encode(arr.astype(dtype), center=32768)
+    assert blob == codes.encode(arr.astype(np.int64), center=32768)
+    assert blob == _uint64_plane_encode(arr, 32768)
 
 
 @pytest.mark.parametrize("n", [100, 1, 0])

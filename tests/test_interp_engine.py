@@ -347,3 +347,34 @@ def test_stream_equals_scatter_gather_reference(case, rel_eps):
         np.testing.assert_array_equal(lits, want)
     else:
         assert "literals" not in sec
+
+
+def test_encode_walk_stream_is_uint16():
+    """At radius 32768 every code is in [0, 65536): the walk writes a
+    uint16 stream, and the payload's codes decode to uint16 again."""
+    f = _field((20, 17, 9))
+    cfg = EngineConfig(anchor_stride=8)
+    e = 1e-3 * float(f.max() - f.min())
+    stream, _ = interp.encode_walk(f.astype(np.float64), e, cfg)
+    assert stream.dtype == np.uint16
+    blob, _ = interp.compress(f, e, cfg)
+    out = codes.decode(container.unpack(blob)["codes"])
+    assert out.dtype == np.uint16
+    np.testing.assert_array_equal(out, stream)
+
+
+def test_pass_plans_are_cached():
+    """Equal keys share one plan, equal to a fresh one; the cache is
+    bounded."""
+    shape = (17, 9, 12)
+    cfg = EngineConfig(
+        anchor_stride=8,
+        level_configs=(InterpConfig("1d", "cubic_nak", True, (2, 0, 1)),),
+        frozen_axes=(1,),
+    )
+    plan = passes(shape, cfg)
+    assert passes(list(shape), EngineConfig(**vars(cfg))) is plan
+    fresh = interp._plan.__wrapped__(shape, 8, cfg.level_configs, cfg.frozen_axes, None)
+    assert plan == fresh
+    assert passes(shape, cfg, (2,)) == tuple(p for p in plan if p.level == 2)
+    assert interp._plan.cache_info().maxsize == interp.PLAN_CACHE

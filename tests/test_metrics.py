@@ -1,4 +1,6 @@
 """Quality-metric tests (paper §7.1.3)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,30 @@ def test_psnr_monotone_in_noise():
 
 def test_max_abs_err():
     assert metrics.max_abs_err(np.array([1.0, 2.0]), np.array([1.5, 1.0])) == 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32])
+def test_error_metrics_equal_the_float64_copy_expressions(dtype):
+    """One float64 difference gives the values the two float64 copies
+    gave."""
+    rng = np.random.default_rng(2)
+    x = (rng.standard_normal((30, 40)) * 1000).astype(dtype)
+    y = (x + rng.standard_normal(x.shape) * 7).astype(dtype)
+    d = np.asarray(x, np.float64) - np.asarray(y, np.float64)
+    assert metrics.max_abs_err(x, y) == float(np.max(np.abs(d)))
+    assert metrics.mse(x, y) == float(np.mean(d * d))
+
+
+def test_error_metrics_hold_one_float64_array():
+    """A bound check on a float32 field holds one field-sized float64
+    array, not copies of both inputs as well."""
+    x = np.random.default_rng(3).standard_normal(500_000).astype(np.float32)
+    y = x + np.float32(1e-3)
+    for f in (metrics.max_abs_err, metrics.mse):
+        tracemalloc.start()
+        try:
+            f(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * x.size

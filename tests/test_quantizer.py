@@ -90,3 +90,22 @@ def test_multi_pass_scatter(shape):
     for sel, chunk in zip(sels, chunks):
         out = dec.dequantize(pred[sel], eb, chunk)
         assert np.abs(out - truth[sel]).max() <= eb
+
+
+def test_uint16_codes_dequantize_like_int64():
+    """The walk's uint16 stream dequantizes as its int64 copy does, at
+    both ends: code 0 (a literal) and 65535 (the largest residual). A
+    uint16 minus the radius must not wrap (0 would give +32768)."""
+    rng = np.random.default_rng(4)
+    codes = rng.integers(1, 65536, 1000).astype(np.uint16)
+    codes[:3] = 0, 65535, 1
+    codes[500] = 0
+    pred = rng.standard_normal(codes.size)
+    lits = np.array([7.0, -9.0])
+    out = {
+        dt: QuantDecoder(lits).dequantize(pred, 1e-3, codes.astype(dt))
+        for dt in (np.uint16, np.int64)
+    }
+    np.testing.assert_array_equal(out[np.uint16], out[np.int64])
+    assert out[np.uint16][0] == 7.0 and out[np.uint16][500] == -9.0
+    assert out[np.uint16][1] == pred[1] + 2e-3 * 32767

@@ -21,6 +21,9 @@ def test_table2_speeds_structure():
     assert len(rows) == 2
     for r in rows:
         assert r["comp_mbps"] > 0 and r["decomp_mbps"] > 0
+        # medians of SPEED_REPEATS timed runs, with their range
+        assert r["comp_min"] <= r["comp_mbps"] <= r["comp_max"]
+        assert r["decomp_min"] <= r["decomp_mbps"] <= r["decomp_max"]
 
 
 def test_table2_zfp_fastest_highperf():
