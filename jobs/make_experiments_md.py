@@ -69,14 +69,32 @@ def _load(name: str) -> list[dict]:
 def t2_section() -> str:
     rows = _load("table2")
     got = {(r["dataset"], r["codec"]): r for r in rows}
-    out = ["| dataset | codec | paper comp | ours comp | paper dec | ours dec |", "|---|---|---|---|---|---|"]
+    out = [
+        "| dataset | codec | paper comp | ours comp (min–max) | paper dec | ours dec (min–max) |",
+        "|---|---|---|---|---|---|",
+    ]
     for ds in ORDER:
         for c in CODECS:
             p = PAPER_T2[ds][c]
             g = got[(ds, c)]
             out.append(
-                f"| {ds} | {c} | {p[0]} | {g['comp_mbps']:.1f} | {p[1]} | {g['decomp_mbps']:.1f} |"
+                f"| {ds} | {c} | {p[0]} | {g['comp_mbps']:.1f} ({g['comp_min']:.1f}–{g['comp_max']:.1f})"
+                f" | {p[1]} | {g['decomp_mbps']:.1f} ({g['decomp_min']:.1f}–{g['decomp_max']:.1f}) |"
             )
+    out += [
+        "",
+        "HPEZ's speed as a share of QoZ's (ours: medians):",
+        "",
+        "| dataset | paper comp | ours comp | paper dec | ours dec |",
+        "|---|---|---|---|---|",
+    ]
+    for ds in ORDER:
+        h, q = got[(ds, "hpez")], got[(ds, "qoz")]
+        ph, pq = PAPER_T2[ds]["hpez"], PAPER_T2[ds]["qoz"]
+        out.append(
+            f"| {ds} | {ph[0] / pq[0]:.0%} | {h['comp_mbps'] / q['comp_mbps']:.0%}"
+            f" | {ph[1] / pq[1]:.0%} | {h['decomp_mbps'] / q['decomp_mbps']:.0%} |"
+        )
     return "\n".join(out)
 
 
