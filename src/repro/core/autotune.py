@@ -151,7 +151,7 @@ def _probe_level(
     stream, _ = interp.encode_walk(a, e, cfg, (level,))
     if not stream.size:
         return 0, 0
-    return len(codes_mod.encode(stream, center=cfg.radius)), stream.size
+    return len(codes_mod.encode(stream, center=interp.RADIUS)), stream.size
 
 
 def _candidate_configs(opts: TuneOptions, active: tuple[int, ...]) -> list[InterpConfig]:
@@ -303,7 +303,7 @@ def tune_blocks(
     best spline beats the global one by >10 % prediction error — the
     stride-1 sub-block test is a proxy, so near-ties go to the global
     choice."""
-    B = EngineConfig.block_size
+    B = interp.BLOCK
     shape = data.shape
     nblocks = tuple((n + B - 1) // B for n in shape)
     if int(np.prod(nblocks)) <= 1:
@@ -373,7 +373,7 @@ def _validate_blockcfg(data: np.ndarray, e: float, cfg: EngineConfig) -> bool:
     sub-block probe is optimistic on clean data, and the lossless stage
     is sensitive to mixed code distributions (DESIGN.md §2)."""
     assert cfg.block_cfg is not None
-    B = cfg.block_size
+    B = interp.BLOCK
     gid = SPLINE_CHOICES.index(cfg.level_configs[0].spline)
     overridden = np.argwhere(cfg.block_cfg != gid)
     if overridden.size == 0:
@@ -473,10 +473,12 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
 
     # §6.6 block-wise interpolation tuning
     if opts.blockwise and not use_lorenzo:
-        cfg.block_cfg = tune_blocks(
+        block_cfg = tune_blocks(
             data, opts, cfg.frozen_axes, cfg.level_configs[0].spline, e
         )
-        if cfg.block_cfg is not None and not _validate_blockcfg(data, e, cfg):
-            cfg.block_cfg = None
+        if block_cfg is not None:
+            mapped = replace(cfg, block_cfg=block_cfg)
+            if _validate_blockcfg(data, e, mapped):
+                cfg = mapped
 
     return TuneResult(use_lorenzo=use_lorenzo, cfg=cfg)

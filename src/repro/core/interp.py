@@ -57,7 +57,7 @@ fastest-varying axis at a time — QoZ's traversal with poor memory
 locality — instead of one vectorized strided pass, unless the pass
 interpolates along that axis.
 
-Block-wise tuning (§6.6) supplies a per-32^d-block spline id; each slab
+Block-wise tuning (§6.6) supplies a spline id per ``BLOCK``^d block; each slab
 computes the prediction for every spline in use and blends them with the
 block mask, so the walk stays vectorized and bit-exact on both sides.
 """
@@ -82,6 +82,12 @@ SLAB = 1 << 16
 
 #: most pass plans :func:`passes` keeps
 PLAN_CACHE = 256
+
+#: edge of the §6.6 blocks that ``EngineConfig.block_cfg`` maps
+BLOCK = 32
+
+#: quantizer radius: codes lie in ``[0, 2 RADIUS)``
+RADIUS = 32768
 
 #: spline ids used by block-wise tuning (index into this tuple).
 BLOCK_SPLINES = splines.SPLINE_CHOICES
@@ -114,7 +120,7 @@ class InterpConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Full engine configuration, serialized into the payload."""
 
@@ -124,10 +130,8 @@ class EngineConfig:
     beta: float = 1.0  # Eq. 15
     frozen_axes: tuple[int, ...] = ()  # §6.3
     md_sigma2: tuple[float, ...] | None = None  # §5.3 sigma_i^2 estimates
-    block_size: int = 32  # §6.6 (used when block_cfg set)
-    block_cfg: np.ndarray | None = None  # per-block spline id, or None
+    block_cfg: np.ndarray | None = None  # per-BLOCK^d spline id (§6.6), or None
     fvfi: bool = True  # §5.4.1
-    radius: int = 32768
 
     def to_dict(self) -> dict:
         return {
@@ -137,13 +141,20 @@ class EngineConfig:
             "beta": self.beta,
             "frozen_axes": list(self.frozen_axes),
             "md_sigma2": list(self.md_sigma2) if self.md_sigma2 else None,
-            "block_size": self.block_size,
+            "block_size": BLOCK,
             "fvfi": self.fvfi,
-            "radius": self.radius,
+            "radius": RADIUS,
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "EngineConfig":
+    def from_dict(d: dict, block_cfg: np.ndarray | None = None) -> "EngineConfig":
+        """Invert :meth:`to_dict`; ``block_cfg`` is the payload's block
+        map, which is stored in its own section."""
+        if d["block_size"] != BLOCK or d["radius"] != RADIUS:
+            raise ValueError(
+                f"unsupported engine config: block_size={d['block_size']!r}, "
+                f"radius={d['radius']!r} (expected {BLOCK}, {RADIUS})"
+            )
         return EngineConfig(
             anchor_stride=d["anchor_stride"],
             level_configs=tuple(
@@ -153,9 +164,8 @@ class EngineConfig:
             beta=d["beta"],
             frozen_axes=tuple(d["frozen_axes"]),
             md_sigma2=tuple(d["md_sigma2"]) if d["md_sigma2"] else None,
-            block_size=d["block_size"],
+            block_cfg=block_cfg,
             fvfi=d["fvfi"],
-            radius=d["radius"],
         )
 
 
@@ -391,8 +401,7 @@ class _Walk:
 
     def _cfg_ids(self, sel: tuple) -> np.ndarray:
         """Block spline id per target position for selection ``sel``."""
-        B = self.cfg.block_size
-        axes_pos = [np.arange(n)[sl] // B for n, sl in zip(self.a.shape, sel)]
+        axes_pos = [np.arange(n)[sl] // BLOCK for n, sl in zip(self.a.shape, sel)]
         assert self.cfg.block_cfg is not None
         return self.cfg.block_cfg[np.ix_(*axes_pos)]
 
@@ -437,8 +446,8 @@ def encode_walk(
     quantizing with :class:`QuantEncoder`, so ``a`` ends as the
     reconstruction. Returns the code stream and the literals.
     :func:`compress` runs every level; the tuner's §6.2 probes run one."""
-    enc = QuantEncoder(cfg.radius)
-    stream = np.empty(stream_size(a.shape, cfg, levels), dtype=stream_dtype(cfg.radius))
+    enc = QuantEncoder(RADIUS)
+    stream = np.empty(stream_size(a.shape, cfg, levels), dtype=stream_dtype(RADIUS))
 
     def qfun(pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray) -> np.ndarray:
         return enc.quantize(pred, a[sel], e_l, out)
@@ -470,7 +479,7 @@ def compress(
     sections = [
         ("meta", container.json_section(meta)),
         ("anchors", container.array_section(anchors)),
-        ("codes", codes_mod.encode(stream, center=cfg.radius)),
+        ("codes", codes_mod.encode(stream, center=RADIUS)),
     ]
     lits = lits.astype(orig_dtype if orig_dtype.kind == "f" else np.float64)
     if lits.size:
@@ -493,9 +502,10 @@ def decompress(payload: bytes) -> np.ndarray:
     """Invert :func:`compress`; returns float64 reconstruction."""
     sec = container.unpack(payload)
     meta = container.from_json(sec["meta"])
-    cfg = EngineConfig.from_dict(meta["cfg"])
+    block_cfg = None
     if "blockcfg" in sec:
-        cfg.block_cfg = container.to_array(lossless.decompress(sec["blockcfg"]))
+        block_cfg = container.to_array(lossless.decompress(sec["blockcfg"]))
+    cfg = EngineConfig.from_dict(meta["cfg"], block_cfg)
     shape = tuple(meta["shape"])
     e = float(meta["e"])
     codes = codes_mod.decode(sec["codes"])
@@ -509,7 +519,7 @@ def decompress(payload: bytes) -> np.ndarray:
         raise ValueError("quantization code stream size mismatch")
     if codes.size - np.count_nonzero(codes) != lits.size:
         raise ValueError("literal count mismatch: zero codes vs literals")
-    dec = QuantDecoder(lits, cfg.radius)
+    dec = QuantDecoder(lits, RADIUS)
     a = np.full(shape, np.nan, dtype=np.float64)
     a[_anchor_sel(shape, cfg)] = container.to_array(sec["anchors"]).astype(np.float64)
 

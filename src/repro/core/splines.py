@@ -78,7 +78,7 @@ def _range_plan(
 
 
 def line_predict(
-    v: np.ndarray, tpos: range | np.ndarray, stencil: str, axis: int = -1
+    v: np.ndarray, tpos: range, stencil: str, axis: int = -1
 ) -> np.ndarray:
     """Predict values at indices ``tpos`` along axis ``axis`` of ``v``.
 
@@ -91,10 +91,9 @@ def line_predict(
     parity-safe boundary rule that lets the decompressor replay the walk
     without reading an unwritten point. The rule depends only on the
     target index and n, so a caller may pass any sub-range of the
-    targets. The walk and the tuner pass a ``range``, whose neighbour
-    indices are cached per (axis length, target range, stencil) and
-    whose reads are cut to the span of ``v`` they reach; array targets
-    are computed on every call.
+    targets. The neighbour indices are cached per (axis length, target
+    range, stencil), and the reads are cut to the span of ``v`` they
+    reach.
 
     The span read is copied once into a C-contiguous buffer (``np.take``
     would copy a strided source on every call). Terms accumulate into
@@ -103,13 +102,8 @@ def line_predict(
     """
     n1 = v.shape[axis] - 1
     terms = STENCILS[stencil]
-    if isinstance(tpos, range):
-        span, idx = _range_plan(n1, tpos, stencil)
-        v = v[(slice(None),) * (axis % v.ndim) + (span,)]
-    else:
-        t = np.asarray(tpos)
-        idx = tuple(_neighbour(n1, t, off) for off, _ in terms)
-    v = np.ascontiguousarray(v)
+    span, idx = _range_plan(n1, tpos, stencil)
+    v = np.ascontiguousarray(v[(slice(None),) * (axis % v.ndim) + (span,)])
     # indices are in range, so mode="clip" changes nothing but lets take
     # write straight into ``out`` (mode="raise" buffers it)
     acc = np.take(v, idx[0], axis=axis, mode="clip")

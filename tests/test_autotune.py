@@ -181,7 +181,7 @@ def _tune_blocks_per_block(data, opts, frozen, global_spline, e):
     batched ``tune_blocks`` replaced); same arithmetic per block."""
     from repro.core.splines import SPLINE_CHOICES, line_predict
 
-    B = interp.EngineConfig.block_size
+    B = interp.BLOCK
     nblocks = tuple((n + B - 1) // B for n in data.shape)
     if int(np.prod(nblocks)) <= 1:
         return None
@@ -204,8 +204,8 @@ def _tune_blocks_per_block(data, opts, frozen, global_spline, e):
             for d in active:
                 if blk.shape[d] < 7:
                     continue
-                tpos = np.arange(3, blk.shape[d] - 3)
-                if tpos.size == 0:
+                tpos = range(3, blk.shape[d] - 3)
+                if not tpos:
                     continue
                 err = np.take(blk, tpos, axis=d) - line_predict(blk, tpos, name, axis=d)
                 nz += int(np.count_nonzero(np.rint(err / (2.0 * e))))

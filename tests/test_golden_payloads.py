@@ -74,7 +74,7 @@ def _engine_cases() -> dict[str, tuple[np.ndarray, float, EngineConfig]]:
     cases["engine/blockmap"] = (
         f,
         1e-3 * float(f.max() - f.min()),
-        EngineConfig(block_size=32, block_cfg=bc),
+        EngineConfig(block_cfg=bc),
     )
     f = _field((19, 23, 17), seed=9)
     cases["engine/literals"] = (f, 1e-7 * float(f.max() - f.min()), EngineConfig())

@@ -1,5 +1,7 @@
 """Interpolation engine tests (paper §5): roundtrip identity, strict
 error bound, grid coverage, freezing, block configs, level error bounds."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,7 +151,7 @@ def test_block_cfg_roundtrip():
     """Per-block spline overrides reproduce bit-exactly on both sides."""
     f = _field((40, 40), seed=8)
     bc = np.array([[0, 1], [2, 1]], dtype=np.uint8)
-    cfg = EngineConfig(block_size=32, block_cfg=bc)
+    cfg = EngineConfig(block_cfg=bc)
     e, recon, out = _roundtrip(f, cfg)
     np.testing.assert_array_equal(out, recon)
     assert np.abs(out - f.astype(np.float64)).max() <= e
@@ -220,6 +222,22 @@ def test_config_serialization_roundtrip():
     )
     back = EngineConfig.from_dict(cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize("key,value", [("radius", 16384), ("block_size", 16)])
+def test_config_rejects_other_constants(key, value):
+    """The §6.6 block edge and the quantizer radius are module constants
+    that the meta still records; a meta naming other values is damaged."""
+    d = EngineConfig().to_dict() | {key: value}
+    with pytest.raises(ValueError, match="unsupported engine config"):
+        EngineConfig.from_dict(d)
+
+
+def test_config_is_frozen():
+    """A tuned plan is a value: variants are built with ``replace``."""
+    cfg = EngineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.block_cfg = np.zeros((2, 2), np.uint8)
 
 
 def test_short_code_stream_rejected():
@@ -311,9 +329,7 @@ _REF_CASES = {
     "4d-md": ((7, 9, 6, 10), EngineConfig(level_configs=_lc("md", "linear", False))),
     "2d-blockmap-nofvfi": (
         (40, 40),
-        EngineConfig(
-            block_size=32, block_cfg=np.array([[0, 1], [2, 1]], np.uint8), fvfi=False
-        ),
+        EngineConfig(block_cfg=np.array([[0, 1], [2, 1]], np.uint8), fvfi=False),
     ),
 }
 
@@ -331,7 +347,7 @@ def test_stream_equals_scatter_gather_reference(case, rel_eps):
     e = rel_eps * float(f.max() - f.min())
     blob, recon = interp.compress(f, e, cfg)
     a = f.astype(np.float64)
-    ref = _GridEncoder(shape, cfg.radius)
+    ref = _GridEncoder(shape, interp.RADIUS)
 
     def qfun(pred, sel, e_l, out):
         return ref.quantize(pred, a[sel], e_l, sel)

@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro import codecs, sparkio
 from repro.core import metrics
@@ -35,9 +36,41 @@ def test_block_shred_covers_everything(spark, field):
 
 
 def test_distributed_roundtrip_bound(block_tables, field):
+    """Decoded blocks stay float64: rounding a decode to the float32
+    field's dtype can put points over the bound."""
     orig, comp, deco, e_abs = block_tables
     out = sparkio.reassemble(deco, field.shape)
     assert np.abs(out - field.astype(np.float64)).max() <= e_abs * (1 + 1e-6)
+    assert {r.dtype for r in deco.select("dtype").distinct().collect()} == {"<f8"}
+
+
+def _geometry_types(df):
+    return [df.schema[c].dataType for c in ("origin", "shape")]
+
+
+def test_block_geometry_is_typed(spark, block_tables, tmp_path):
+    """``origin`` and ``shape`` are ``array<int>`` in every block table,
+    Parquet round trip included."""
+    orig, comp, deco, _ = block_tables
+    path = str(tmp_path / "typed.parquet")
+    sparkio.write_compressed(comp, path)
+    back = sparkio.read_compressed(spark, path)
+    for df in (orig, comp, deco, back, sparkio.decompress_df(back)):
+        for t in _geometry_types(df):
+            assert isinstance(t, T.ArrayType)
+            assert isinstance(t.elementType, T.IntegerType)
+    row = orig.where("block_id = 1").first()
+    assert (row.origin, row.shape) == ([0, 0, 18], [20, 20, 18])
+
+
+def test_reassemble_leaves_missing_blocks_nan(spark, field):
+    """Points no row covers stay NaN; the others are the block values."""
+    df = sparkio.to_blocks_df(spark, field, (16, 24, 20))
+    out = sparkio.reassemble(df.where("block_id != 0"), field.shape)
+    assert np.isnan(out[:16, :24, :20]).all()
+    hole = np.zeros(field.shape, dtype=bool)
+    hole[:16, :24, :20] = True
+    np.testing.assert_array_equal(out[~hole], field[~hole].astype(np.float64))
 
 
 def test_compressed_blocks_smaller(block_tables):

@@ -8,6 +8,7 @@ from repro.core import splines
 def _last_axis_line_predict(v, tpos, stencil):
     """Reference: the evaluator as first written, gathering along the
     last axis with one temporary per stencil term."""
+    tpos = np.asarray(tpos)
     n1 = v.shape[-1] - 1
     hi_even = n1 - (n1 & 1)
     acc = None
@@ -35,9 +36,9 @@ def test_native_axis_matches_last_axis_reference(name, shape):
     big = rng.standard_normal(tuple(2 * n - 1 for n in shape))
     v = big[(slice(None, None, 2),) * len(shape)]
     for axis in range(v.ndim):
-        tpos = np.arange(1, v.shape[axis], 2)
+        tpos = range(1, v.shape[axis], 2)
         for t in (tpos, tpos[0::2], tpos[1::2]):
-            if t.size == 0:
+            if not t:
                 continue
             got = splines.line_predict(v, t, name, axis=axis)
             ref = np.moveaxis(
@@ -55,7 +56,7 @@ def test_weights_sum_to_one(name):
 @pytest.mark.parametrize("name", list(splines.STENCILS))
 def test_exact_on_constants(name):
     v = np.full(32, 3.7)
-    tpos = np.arange(3, 28)
+    tpos = range(3, 28)
     pred = splines.line_predict(v, tpos, name)
     np.testing.assert_allclose(pred, 3.7, rtol=1e-12)
 
@@ -63,7 +64,7 @@ def test_exact_on_constants(name):
 @pytest.mark.parametrize("name", list(splines.STENCILS))
 def test_exact_on_linear(name):
     v = 0.5 * np.arange(64) - 3.0
-    tpos = np.arange(5, 58)
+    tpos = range(5, 58)
     pred = splines.line_predict(v, tpos, name)
     np.testing.assert_allclose(pred, v[tpos], rtol=1e-10, atol=1e-10)
 
@@ -73,7 +74,7 @@ def test_nak_exact_on_cubics(name):
     """The not-a-knot stencils reproduce cubic polynomials exactly."""
     x = np.arange(64, dtype=np.float64)
     v = 0.02 * x**3 - 0.5 * x**2 + x - 7
-    tpos = np.arange(5, 58)
+    tpos = range(5, 58)
     pred = splines.line_predict(v, tpos, name)
     np.testing.assert_allclose(pred, v[tpos], rtol=1e-9)
 
@@ -83,7 +84,7 @@ def test_natural_not_exact_on_quadratic():
     smoothing — Eq. 8 is intentionally biased on curved data."""
     x = np.arange(64, dtype=np.float64)
     v = x**2
-    tpos = np.arange(5, 58)
+    tpos = range(5, 58)
     pred = splines.line_predict(v, tpos, "cubic_nat")
     assert np.abs(pred - v[tpos]).max() > 1e-3
 
@@ -92,7 +93,7 @@ def test_natural_not_exact_on_quadratic():
 def test_affine_invariance(name):
     rng = np.random.default_rng(0)
     v = rng.standard_normal(40)
-    tpos = np.arange(4, 34)
+    tpos = range(4, 34)
     p1 = splines.line_predict(v, tpos, name)
     p2 = splines.line_predict(2.5 * v + 7.0, tpos, name)
     np.testing.assert_allclose(p2, 2.5 * p1 + 7.0, rtol=1e-9, atol=1e-9)
@@ -100,7 +101,7 @@ def test_affine_invariance(name):
 
 def test_linear_formula_eq2():
     v = np.array([1.0, 0.0, 3.0])
-    pred = splines.line_predict(v, np.array([1]), "linear")
+    pred = splines.line_predict(v, range(1, 2), "linear")
     assert pred[0] == pytest.approx(2.0)
 
 
@@ -108,28 +109,28 @@ def test_cubic_nak_formula_eq6():
     """Eq. 6 coefficients: -1/16, 9/16, 9/16, -1/16."""
     v = np.zeros(8)
     v[0] = 1.0  # i-3 neighbour of target 3
-    pred = splines.line_predict(v, np.array([3]), "cubic_nak")
+    pred = splines.line_predict(v, range(3, 4), "cubic_nak")
     assert pred[0] == pytest.approx(-1 / 16)
 
 
 def test_cubic_nat_formula_eq8():
     v = np.zeros(8)
     v[2] = 1.0  # i-1 neighbour of target 3
-    pred = splines.line_predict(v, np.array([3]), "cubic_nat")
+    pred = splines.line_predict(v, range(3, 4), "cubic_nat")
     assert pred[0] == pytest.approx(23 / 40)
 
 
 def test_same_level_formula_eq13():
     v = np.zeros(8)
     v[1] = 1.0  # i-2 neighbour of target 3
-    pred = splines.line_predict(v, np.array([3]), "cubic_nak_sl")
+    pred = splines.line_predict(v, range(3, 4), "cubic_nak_sl")
     assert pred[0] == pytest.approx(-1 / 6)
 
 
 def test_same_level_formula_eq14():
     v = np.zeros(8)
     v[0] = 1.0  # i-3 neighbour of target 3
-    pred = splines.line_predict(v, np.array([3]), "cubic_nat_sl")
+    pred = splines.line_predict(v, range(3, 4), "cubic_nat_sl")
     assert pred[0] == pytest.approx(3 / 62)
 
 
@@ -139,10 +140,10 @@ def test_safe_predict_handles_edges(name, n):
     """Every target position produces a finite prediction, any length."""
     rng = np.random.default_rng(1)
     v = rng.standard_normal(n)
-    tpos = np.arange(1, n, 2)
+    tpos = range(1, n, 2)
     pred = splines.line_predict(v, tpos, name)
     assert np.isfinite(pred).all()
-    assert pred.shape == tpos.shape
+    assert pred.shape == (len(tpos),)
 
 
 def test_safe_predict_parity():
@@ -151,7 +152,7 @@ def test_safe_predict_parity():
     n = 9
     marker = np.full(n, np.nan)
     marker[0::2] = 1.0  # known points
-    tpos = np.arange(1, n, 2)
+    tpos = range(1, n, 2)
     for name in ("linear", "cubic_nak", "cubic_nat"):
         pred = splines.line_predict(marker, tpos, name)
         assert np.isfinite(pred).all(), name
