@@ -23,17 +23,17 @@ import time
 import numpy as np
 
 from . import faz, sperr, tthresh, zfp
-from .core import container, hpez, metrics, qoz, sz3
+from .core import container, metrics
+from .core.pipeline import PRESETS, PredictionCodec
 
 HIGH_PERFORMANCE = ("sz3", "zfp", "qoz", "hpez")
 HIGH_RATIO = ("sperr", "faz", "tthresh")
 ALL_CODECS = HIGH_PERFORMANCE + HIGH_RATIO
 
-#: name -> codec module; each exports ``compress`` and ``decompress``.
+#: name -> codec (a preset or a codec module); each has ``compress`` and
+#: ``decompress``.
 _CODECS = {
-    "sz3": sz3,
-    "qoz": qoz,
-    "hpez": hpez,
+    **{name: PredictionCodec(name, opts) for name, opts in PRESETS.items()},
     "zfp": zfp,
     "sperr": sperr,
     "faz": faz,
@@ -79,9 +79,13 @@ def compress(
 
 
 def decompress(blob: bytes) -> np.ndarray:
-    """Decompress a blob produced by :func:`compress` (any codec)."""
+    """Decompress a blob produced by :func:`compress` (any codec). A
+    blob that is not one (an unknown codec tag, a missing section) raises
+    ``ValueError``."""
     sec = container.unpack(blob)
     name = sec["codec"].decode()
+    if name not in _CODECS:
+        raise ValueError(f"unknown codec tag {name!r}")
     return _CODECS[name].decompress(sec["payload"])
 
 

@@ -1,6 +1,7 @@
 """HPEZ auto-tuning module (paper §6, Fig. 7).
 
-Pipeline (each step optional, controlled by the preset in hpez/qoz/sz3):
+Pipeline (each step optional, switched by a preset's :class:`TuneOptions`,
+``pipeline.PRESETS``):
 
 1. **Sampling & statistical analysis** (§6.1): per-axis 1-D interpolation
    MSE on ~0.2 % uniformly sampled points → the sigma_i^2 estimates of
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codes as codes_mod
-from . import interp, lorenzo, metrics
+from . import interp, lorenzo, metrics, quantizer
 from .interp import EngineConfig, InterpConfig
 from .splines import SPLINE_CHOICES, STENCILS, line_predict
 
@@ -151,7 +152,7 @@ def _probe_level(
     stream, _ = interp.encode_walk(a, e, cfg, (level,))
     if not stream.size:
         return 0, 0
-    return len(codes_mod.encode(stream, center=interp.RADIUS)), stream.size
+    return len(codes_mod.encode(stream, center=quantizer.RADIUS)), stream.size
 
 
 def _candidate_configs(opts: TuneOptions, active: tuple[int, ...]) -> list[InterpConfig]:
@@ -184,14 +185,10 @@ def tune_global_interp(
     reconstruction of all higher levels, so noise amplification by
     wide stencils is priced in honestly.
     """
-    crop = blocks[0]
-    active = tuple(
-        d
-        for d in range(crop.ndim)
-        if d not in base.frozen_axes and crop.shape[d] >= 2
+    cands = _candidate_configs(
+        opts, interp._active_axes(blocks[0].shape, base.frozen_axes)
     )
-    cands = _candidate_configs(opts, active)
-    m = int(base.anchor_stride).bit_length() - 1
+    m = interp._n_levels(base.anchor_stride)
     states = [b.astype(np.float64) for b in blocks]
     # Reference config for pricing the *downstream* effect of a level
     # choice: the reconstruction a candidate leaves behind feeds the next
@@ -359,7 +356,7 @@ def tune_blocks(
             if nz[k, bi] >= 0.6 * nz[k, gi]:
                 bi = gi
             # Map into the engine-global spline id space
-            # (interp.BLOCK_SPLINES).
+            # (splines.SPLINE_CHOICES).
             cfg_map[bidx] = SPLINE_CHOICES.index(opts.splines[bi])
     if np.unique(cfg_map).size == 1:
         return None  # uniform map == global config; skip the metadata
@@ -438,11 +435,9 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
             cfg,
             frozen_axes=(cand_axis,),
             level_configs=tuple(
-                InterpConfig(
-                    c.paradigm,
-                    c.spline,
-                    c.same_level,
-                    tuple(d for d in c.dim_order if d != cand_axis)
+                replace(
+                    c,
+                    dim_order=tuple(d for d in c.dim_order if d != cand_axis)
                     if c.dim_order
                     else None,
                 )

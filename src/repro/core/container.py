@@ -30,10 +30,17 @@ def pack(sections: list[tuple[str, bytes]]) -> bytes:
     return b"".join(out)
 
 
+class _Sections(dict):
+    """Sections by name; reading one the blob lacks is damage."""
+
+    def __missing__(self, name: str) -> bytes:
+        raise ValueError(f"{_CORRUPT}: no section {name!r}")
+
+
 def unpack(blob: bytes) -> dict[str, bytes]:
     """Sections of a :func:`pack` blob. A header or section that runs
-    past the end of ``blob``, or bytes after the last section, raise
-    ``ValueError("corrupt container")``."""
+    past the end of ``blob``, bytes after the last section, or reading a
+    section the blob lacks raise ``ValueError("corrupt container")``."""
     if blob[:4] != _MAGIC:
         raise ValueError("not a repro container")
     off = 4
@@ -46,7 +53,7 @@ def unpack(blob: bytes) -> dict[str, bytes]:
         return blob[off - size : off]
 
     (n,) = struct.unpack("<I", take(4))
-    out: dict[str, bytes] = {}
+    out = _Sections()
     for _ in range(n):
         (nl,) = struct.unpack("<H", take(2))
         name = take(nl).decode()

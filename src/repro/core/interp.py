@@ -32,9 +32,9 @@ its passes, the code stream is laid out in its order (each pass owns the
 next ``Pass.size`` codes, C order over its targets), and
 :func:`encode_walk` quantizes it: :func:`compress` over every level, the
 tuner's §6.2 probes over one level at a time. The stream keeps the
-codes' natural width, the narrowest unsigned dtype holding
-``[0, 2 radius)`` (uint16 at radius 32768), from the quantizer through
-the byte planes (:mod:`.codes`) and back into :func:`decompress`.
+codes' natural width, ``quantizer.STREAM_DTYPE`` (uint16), from the
+quantizer through the byte planes (:mod:`.codes`) and back into
+:func:`decompress`.
 
 Each pass (and each same-level phase) runs in slabs of consecutive
 target rows along axis 0, one slab after another: a slab holds at most
@@ -73,7 +73,7 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import container, lossless, splines
-from .quantizer import QuantDecoder, QuantEncoder, stream_dtype
+from .quantizer import RADIUS, STREAM_DTYPE, QuantDecoder, QuantEncoder
 
 ALL = slice(None)
 
@@ -83,14 +83,9 @@ SLAB = 1 << 16
 #: most pass plans :func:`passes` keeps
 PLAN_CACHE = 256
 
-#: edge of the §6.6 blocks that ``EngineConfig.block_cfg`` maps
+#: edge of the §6.6 blocks that ``EngineConfig.block_cfg`` maps; a map
+#: entry is an index into ``splines.SPLINE_CHOICES``
 BLOCK = 32
-
-#: quantizer radius: codes lie in ``[0, 2 RADIUS)``
-RADIUS = 32768
-
-#: spline ids used by block-wise tuning (index into this tuple).
-BLOCK_SPLINES = splines.SPLINE_CHOICES
 
 
 @dataclass(frozen=True)
@@ -180,6 +175,11 @@ def _active_axes(shape: tuple[int, ...], frozen_axes: tuple[int, ...]) -> tuple[
     return tuple(d for d in range(len(shape)) if d not in frozen_axes and shape[d] >= 2)
 
 
+def _n_levels(anchor_stride: int) -> int:
+    """Levels of the walk: anchor stride ``2^m`` gives levels ``m..1``."""
+    return int(anchor_stride).bit_length() - 1
+
+
 def _put(sel: tuple, ax: int, sl: slice) -> tuple:
     return sel[:ax] + (sl,) + sel[ax + 1 :]
 
@@ -232,8 +232,7 @@ def _plan(
 ) -> tuple[Pass, ...]:
     plan = []
     active = _active_axes(shape, frozen_axes)
-    m = anchor_stride.bit_length() - 1
-    for l in range(m, 0, -1):
+    for l in range(_n_levels(anchor_stride), 0, -1):
         if levels is not None and l not in levels:
             continue
         s = 1 << (l - 1)
@@ -421,11 +420,11 @@ class _Walk:
             return pred_of(_stencil_name(p.lc.spline, sl_phase))
         used = self._used_splines
         if len(used) == 1:
-            return pred_of(_stencil_name(BLOCK_SPLINES[used[0]], sl_phase))
+            return pred_of(_stencil_name(splines.SPLINE_CHOICES[used[0]], sl_phase))
         ids = self._cfg_ids(sel_t)
         pred: np.ndarray | None = None
         for sid in used:
-            cand = pred_of(_stencil_name(BLOCK_SPLINES[sid], sl_phase))
+            cand = pred_of(_stencil_name(splines.SPLINE_CHOICES[sid], sl_phase))
             pred = cand if pred is None else np.where(ids == sid, cand, pred)
         assert pred is not None
         return pred
@@ -446,8 +445,8 @@ def encode_walk(
     quantizing with :class:`QuantEncoder`, so ``a`` ends as the
     reconstruction. Returns the code stream and the literals.
     :func:`compress` runs every level; the tuner's §6.2 probes run one."""
-    enc = QuantEncoder(RADIUS)
-    stream = np.empty(stream_size(a.shape, cfg, levels), dtype=stream_dtype(RADIUS))
+    enc = QuantEncoder()
+    stream = np.empty(stream_size(a.shape, cfg, levels), dtype=STREAM_DTYPE)
 
     def qfun(pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray) -> np.ndarray:
         return enc.quantize(pred, a[sel], e_l, out)
@@ -519,7 +518,7 @@ def decompress(payload: bytes) -> np.ndarray:
         raise ValueError("quantization code stream size mismatch")
     if codes.size - np.count_nonzero(codes) != lits.size:
         raise ValueError("literal count mismatch: zero codes vs literals")
-    dec = QuantDecoder(lits, RADIUS)
+    dec = QuantDecoder(lits)
     a = np.full(shape, np.nan, dtype=np.float64)
     a[_anchor_sel(shape, cfg)] = container.to_array(sec["anchors"]).astype(np.float64)
 

@@ -17,10 +17,10 @@ from dataclasses import replace
 import numpy as np
 
 from .. import sperr
-from ..core import container, hpez
-from ..core.pipeline import PredictionCodec
+from ..core import container, pipeline
+from ..core.pipeline import PRESETS, PredictionCodec
 
-_INTERP = PredictionCodec("faz-interp", replace(hpez.OPTS, target="psnr"))
+_INTERP = PredictionCodec("faz-interp", replace(PRESETS["hpez"], target="psnr"))
 
 
 def compress(data: np.ndarray, e: float) -> bytes:
@@ -41,7 +41,9 @@ def compress(data: np.ndarray, e: float) -> bytes:
 
 def decompress(blob: bytes) -> np.ndarray:
     sec = container.unpack(blob)
-    meta = container.from_json(sec["meta"])
-    if meta["kind"] == "wavelet":
+    kind = container.from_json(sec["meta"]).get("kind")
+    if kind == "wavelet":
         return sperr.decompress(sec["inner"])
-    return _INTERP.decompress(sec["inner"])
+    if kind == "interp":
+        return pipeline.decompress(sec["inner"])
+    raise ValueError(f"unknown FAZ pipeline kind {kind!r}")

@@ -113,6 +113,17 @@ def _unblockify(
     return a[tuple(slice(0, n) for n in shape)].copy()
 
 
+def _scale_step(
+    emax: np.ndarray, e: float, nd: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block mantissa scale ``2^(FRAC_BITS - emax)`` and quantization
+    step, conservative for the inverse transform's gain; both shaped to
+    broadcast over the ``(nblocks, 4, ..., 4)`` blocks."""
+    scale = np.exp2(_FRAC_BITS - emax.astype(np.float64)).reshape((-1,) + (1,) * nd)
+    step = np.maximum(np.floor(e * scale / _GAIN_PER_AXIS**nd), 1.0).astype(np.int64)
+    return scale, step
+
+
 def compress(data: np.ndarray, e: float) -> bytes:
     """Fixed-accuracy compression under absolute error bound ``e``."""
     a = np.asarray(data, dtype=np.float64)
@@ -122,16 +133,11 @@ def compress(data: np.ndarray, e: float) -> bytes:
     emax = np.zeros(blocks.shape[0], dtype=np.int32)
     nz = maxabs > 0
     emax[nz] = np.ceil(np.log2(maxabs[nz])).astype(np.int32)
-    scale = np.exp2(_FRAC_BITS - emax.astype(np.float64))
-    ints = np.rint(
-        blocks * scale.reshape((-1,) + (1,) * nd)
-    ).astype(np.int64)
+    scale, step = _scale_step(emax, e, nd)
+    ints = np.rint(blocks * scale).astype(np.int64)
     for ax in range(1, nd + 1):
         _fwd_lift(ints, ax)
-    # quantization step per block, conservative for the transform gain
-    gain = _GAIN_PER_AXIS**nd
-    step = np.maximum(np.floor(e * scale / gain), 1.0).astype(np.int64)
-    q = np.rint(ints / step.reshape((-1,) + (1,) * nd)).astype(np.int64)
+    q = np.rint(ints / step).astype(np.int64)
     # per-(block, degree-class) fixed-width packing
     bsz = _BLOCK**nd
     qf = q.reshape(-1, bsz)
@@ -174,24 +180,22 @@ def compress(data: np.ndarray, e: float) -> bytes:
         ("bits", b"".join(payload_parts)),
     ]
     # the correction list guarantees the bound exactly
-    recon = _reconstruct(q, step, emax, padded_shape, tuple(data.shape), nd)
+    recon = _reconstruct(q, scale, step, padded_shape, tuple(data.shape))
     sections += corrections.sections(a, recon, e)
     return container.pack(sections)
 
 
 def _reconstruct(
     q: np.ndarray,
+    scale: np.ndarray,
     step: np.ndarray,
-    emax: np.ndarray,
     padded_shape: tuple[int, ...],
     shape: tuple[int, ...],
-    nd: int,
 ) -> np.ndarray:
-    ints = q * step.reshape((-1,) + (1,) * nd)
-    for ax in range(nd, 0, -1):
+    ints = q * step
+    for ax in range(len(shape), 0, -1):
         _inv_lift_exact(ints, ax)
-    scale = np.exp2(_FRAC_BITS - emax.astype(np.float64))
-    blocks = ints.astype(np.float64) / scale.reshape((-1,) + (1,) * nd)
+    blocks = ints.astype(np.float64) / scale
     return _unblockify(blocks, padded_shape, shape)
 
 
@@ -234,8 +238,5 @@ def decompress(blob: bytes) -> np.ndarray:
                 rows.size, cols.size
             )
     q = qf.reshape((nblocks,) + (_BLOCK,) * nd)
-    scale = np.exp2(_FRAC_BITS - emax.astype(np.float64))
-    gain = _GAIN_PER_AXIS**nd
-    step = np.maximum(np.floor(e * scale / gain), 1.0).astype(np.int64)
-    recon = _reconstruct(q, step, emax, padded_shape, shape, nd)
+    recon = _reconstruct(q, *_scale_step(emax, e, nd), padded_shape, shape)
     return corrections.apply(recon, sec, e)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro import codecs
-from repro.core import hpez, metrics
-from repro.core.pipeline import PredictionCodec
+from repro.core import container, metrics, pipeline
+from repro.core.pipeline import PRESETS, PredictionCodec
 from repro.datasets import DATASETS, FP_DATASETS, INT_DATASETS, generate
 
 _EPS = (1e-2, 1e-3)
@@ -111,8 +111,8 @@ def test_psnr_target_mode():
     payload the registered hpez decoder reads within the bound."""
     data = generate("Miranda", "test")
     e = metrics.value_range(data) * 1e-3
-    codec = PredictionCodec("hpez", replace(hpez.OPTS, target="psnr"))
-    recon = hpez.CODEC.decompress(codec.compress(data, e))
+    codec = PredictionCodec("hpez", replace(PRESETS["hpez"], target="psnr"))
+    recon = pipeline.decompress(codec.compress(data, e))
     assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)
 
 
@@ -200,3 +200,44 @@ def test_roundtrip_checks_the_bound(monkeypatch):
 def test_unknown_codec_raises():
     with pytest.raises(KeyError):
         codecs.compress("nope", np.zeros((4, 4), dtype=np.float32), 1e-3)
+
+
+def test_registry_is_the_presets():
+    """sz3, qoz and hpez are one codec with three option sets, and one
+    decoder reads them all (and FAZ's interpolation leg)."""
+    for name, opts in PRESETS.items():
+        assert codecs._CODECS[name] == PredictionCodec(name, opts)
+        assert codecs._CODECS[name].decompress is pipeline.decompress
+
+
+def _damaged(outer=None, meta=None):
+    """A hand-packed hpez blob: ``outer`` replaces dispatch sections,
+    ``meta`` the prediction meta (``None`` values drop a key)."""
+    data = generate("Miranda", "test")
+    sec = container.unpack(codecs.compress("hpez", data, 1e-2))
+    payload = container.unpack(sec["payload"])
+    if meta is not None:
+        m = container.from_json(payload["meta"]) | meta
+        m = {k: v for k, v in m.items() if v is not None}
+        payload["meta"] = container.json_section(m)
+    sec["payload"] = container.pack(list(payload.items()))
+    sec |= outer or {}
+    return container.pack([(k, v) for k, v in sec.items() if v is not None])
+
+
+@pytest.mark.parametrize(
+    "outer,meta,match",
+    [
+        ({"codec": b"nope"}, None, "unknown codec tag 'nope'"),
+        ({"payload": None}, None, "no section 'payload'"),
+        ({"codec": None}, None, "no section 'codec'"),
+        (None, {"kind": None}, "unknown predictor kind None"),
+        (None, {"kind": "spline"}, "unknown predictor kind 'spline'"),
+    ],
+    ids=["unknown-tag", "no-payload", "no-codec", "no-kind", "bad-kind"],
+)
+def test_damaged_dispatch_raises_value_error(outer, meta, match):
+    """A blob whose dispatch data is damaged raises ``ValueError``, the
+    error every other damage check raises, not ``KeyError``."""
+    with pytest.raises(ValueError, match=match):
+        codecs.decompress(_damaged(outer, meta))

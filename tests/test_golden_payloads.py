@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import codecs
-from repro.core import interp, lossless
+from repro.core import interp, lossless, splines
 from repro.core.interp import EngineConfig, InterpConfig
 from repro.datasets import TEST_SHAPES, generate
 
@@ -55,7 +55,7 @@ def _engine_cases() -> dict[str, tuple[np.ndarray, float, EngineConfig]]:
     for shape, paradigm, spline, sl, fvfi, frozen in product(
         ENGINE_SHAPES,
         ("1d", "md"),
-        interp.BLOCK_SPLINES,
+        splines.SPLINE_CHOICES,
         (False, True),
         (True, False),
         ((), (0,)),

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import codes, container, interp, lossless
+from repro.core import codes, container, interp, lossless, quantizer
 from repro.core.interp import EngineConfig, InterpConfig, passes
 
 
@@ -247,7 +247,7 @@ def test_short_code_stream_rejected():
     blob, _ = interp.compress(f, 1e-2, EngineConfig())
     sec = container.unpack(blob)
     stream = codes.decode(sec["codes"])
-    sec["codes"] = codes.encode(stream[:-1], center=32768)
+    sec["codes"] = codes.encode(stream[:-1], center=quantizer.RADIUS)
     with pytest.raises(ValueError, match="size mismatch"):
         interp.decompress(container.pack(list(sec.items())))
 
@@ -347,7 +347,7 @@ def test_stream_equals_scatter_gather_reference(case, rel_eps):
     e = rel_eps * float(f.max() - f.min())
     blob, recon = interp.compress(f, e, cfg)
     a = f.astype(np.float64)
-    ref = _GridEncoder(shape, interp.RADIUS)
+    ref = _GridEncoder(shape, quantizer.RADIUS)
 
     def qfun(pred, sel, e_l, out):
         return ref.quantize(pred, a[sel], e_l, sel)

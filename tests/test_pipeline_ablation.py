@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import hpez, metrics
-from repro.core.pipeline import PredictionCodec
+from repro.core import metrics, pipeline
+from repro.core.pipeline import PRESETS, PredictionCodec
 from repro.datasets import generate
 
 #: Fig. 17 component -> the ``TuneOptions`` fields that switch it off
@@ -22,7 +22,7 @@ _SWITCHES = {
 
 
 def _hpez(**changes) -> PredictionCodec:
-    return PredictionCodec("hpez", replace(hpez.OPTS, **changes))
+    return PredictionCodec("hpez", replace(PRESETS["hpez"], **changes))
 
 
 @pytest.mark.parametrize("switch", _SWITCHES)
@@ -31,7 +31,7 @@ def test_each_component_off_still_bounded(switch):
     data = generate("SCALE", "test")
     e = metrics.value_range(data) * 1e-3
     blob = codec.compress(data, e)
-    recon = codec.decompress(blob)
+    recon = pipeline.decompress(blob)
     assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)
 
 
@@ -40,7 +40,7 @@ def test_dim_freeze_component_drives_cesm_gain():
     contributor — removing it must cost compression ratio."""
     data = generate("CESM-ATM", "test")
     e = metrics.value_range(data) * 1e-3
-    full = len(hpez.compress(data, e))
+    full = len(_hpez().compress(data, e))
     nofreeze = len(_hpez(dim_freeze=False).compress(data, e))
     assert full < nofreeze * 0.8
 
@@ -50,7 +50,7 @@ def test_ablation_chain_never_catastrophic():
     Fig. 17 sits between QoZ and full HPEZ)."""
     data = generate("Miranda", "test")
     e = metrics.value_range(data) * 1e-3
-    full = len(hpez.compress(data, e))
+    full = len(_hpez().compress(data, e))
     off = {k: v for changes in _SWITCHES.values() for k, v in changes.items()}
     stripped = len(_hpez(**off).compress(data, e))
     assert stripped < full * 1.3  # stripped ~= QoZ; full must not be worse by much
@@ -63,8 +63,8 @@ def test_fvfi_values_identical():
     e = metrics.value_range(data) * 1e-3
     c1 = _hpez(fvfi=True)
     c2 = _hpez(fvfi=False)
-    r1 = c1.decompress(c1.compress(data, e))
-    r2 = c2.decompress(c2.compress(data, e))
+    r1 = pipeline.decompress(c1.compress(data, e))
+    r2 = pipeline.decompress(c2.compress(data, e))
     np.testing.assert_array_equal(r1, r2)
 
 
@@ -77,6 +77,6 @@ def test_target_switch_changes_tradeoff():
     e = metrics.value_range(data) * 1e-3
     b_cr = cr_codec.compress(data, e)
     b_ps = ps_codec.compress(data, e)
-    for codec, blob in ((cr_codec, b_cr), (ps_codec, b_ps)):
-        recon = codec.decompress(blob)
+    for blob in (b_cr, b_ps):
+        recon = pipeline.decompress(blob)
         assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)

@@ -2,14 +2,14 @@
 import numpy as np
 import pytest
 
-from repro.core.quantizer import QuantDecoder, QuantEncoder
+from repro.core.quantizer import RADIUS, STREAM_DTYPE, QuantDecoder, QuantEncoder
 
 
-def _roundtrip(pred, truth, eb, radius=32768):
-    enc = QuantEncoder(radius)
-    codes = np.empty(truth.shape, dtype=np.int32)
+def _roundtrip(pred, truth, eb, codes=None):
+    enc = QuantEncoder()
+    codes = np.empty(truth.shape, dtype=np.int32) if codes is None else codes
     recon = enc.quantize(pred, truth, eb, codes)
-    dec = QuantDecoder(enc.literals(), radius)
+    dec = QuantDecoder(enc.literals())
     recon2 = dec.dequantize(pred, eb, codes)
     return recon, recon2
 
@@ -25,13 +25,19 @@ def test_bound_holds(eb):
 
 
 def test_outliers_roundtrip_exactly():
-    """Residuals beyond the radius are carried as exact literals."""
-    eb = 1e-6
-    truth = np.array([0.0, 1.0, 5.0, -3.0])
-    pred = np.zeros(4)
-    recon, recon2 = _roundtrip(pred, truth, eb, radius=8)
-    np.testing.assert_array_equal(recon, truth)
-    np.testing.assert_array_equal(recon2, truth)
+    """Residuals of ``RADIUS - 1`` quantization steps (``2 eb`` each) or
+    more are carried as exact literals (code 0); one step less is still
+    a code, the largest the stream dtype has to hold."""
+    eb = 1e-3
+    steps = np.array([RADIUS - 2, RADIUS - 1, -(RADIUS - 1), RADIUS, 2.5 * RADIUS, -7 * RADIUS])
+    truth = steps * (2 * eb) + 0.25 * eb
+    pred = np.zeros(truth.size)
+    codes = np.empty(truth.shape, dtype=STREAM_DTYPE)
+    recon, recon2 = _roundtrip(pred, truth, eb, codes)
+    np.testing.assert_array_equal(codes, [2 * RADIUS - 2, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(recon[1:], truth[1:])
+    assert abs(recon[0] - truth[0]) <= eb
+    np.testing.assert_array_equal(recon2, recon)
 
 
 def test_zero_error_gives_center_codes():
@@ -39,28 +45,29 @@ def test_zero_error_gives_center_codes():
     enc = QuantEncoder()
     codes = np.empty(truth.shape, dtype=np.int32)
     enc.quantize(truth.copy(), truth, 1e-3, codes)
-    assert (codes == enc.radius).all()
+    assert (codes == RADIUS).all()
 
 
 def test_codes_scattered_by_selection():
     """A call writes only the stream view it is given."""
     truth = np.arange(8, dtype=np.float64)
     enc = QuantEncoder()
-    codes = np.full(truth.shape, enc.radius, dtype=np.int32)
+    codes = np.full(truth.shape, RADIUS, dtype=np.int32)
     sel = (slice(1, None, 2),)
     enc.quantize(np.zeros(4), truth[sel], 0.5, codes[sel])
-    assert (codes[0::2] == enc.radius).all()
-    assert (codes[1::2] != enc.radius).any()
+    assert (codes[0::2] == RADIUS).all()
+    assert (codes[1::2] != RADIUS).any()
 
 
 def test_decoder_consumes_literals_in_order():
     eb = 1e-9
-    truth = np.array([10.0, 20.0, 30.0])
+    truth = np.array([3.0, -5.0, 7.0]) * RADIUS * (2 * eb)  # all beyond the radius
     pred = np.zeros(3)
-    enc = QuantEncoder(radius=4)
+    enc = QuantEncoder()
     codes = np.empty(truth.shape, dtype=np.int32)
     enc.quantize(pred, truth, eb, codes)
-    dec = QuantDecoder(enc.literals(), radius=4)
+    np.testing.assert_array_equal(enc.literals(), truth)
+    dec = QuantDecoder(enc.literals())
     out = dec.dequantize(pred, eb, codes)
     np.testing.assert_array_equal(out, truth)
 
