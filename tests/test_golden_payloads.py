@@ -7,6 +7,8 @@ of every payload and of its decompressed array:
   (keys ``codec/<codec>/<dataset>``), 1e-2 and 1e-4 (keys
   ``codec/<codec>/<dataset>/eps<eps>``);
 * HPEZ with ``fvfi=False`` through the full tuner;
+* sz3, qoz, hpez and faz on one 1-D input, the first 20000 points of
+  Miranda (keys ``codec/<codec>/Miranda-1d``);
 * ``interp.compress`` over an engine-config grid: 1–4-D shapes × ``1d``/
   ``md`` × the three splines × same-level × ``fvfi`` × frozen axis
   none/0, plus one block map and one bound tight enough to emit literals.
@@ -42,6 +44,8 @@ ZSTD_KEY = "_zstd"
 ENGINE_SHAPES = ((97,), (37, 41), (19, 23, 17), (7, 9, 6, 10))
 #: relative bounds of the codec cases besides 1e-3
 CODEC_EPS = (1e-2, 1e-4)
+#: codecs with a golden key for a 1-D input
+ONE_D_CODECS = ("sz3", "qoz", "hpez", "faz")
 
 
 def _sha(b: bytes | np.ndarray) -> str:
@@ -91,6 +95,8 @@ def golden_hashes() -> dict[str, str]:
         for d in TEST_SHAPES
     ]
     runs.append(("codec/hpez-nofvfi/Miranda", generate("Miranda"), "hpez", 1e-3, {"fvfi": False}))
+    line = generate("Miranda").ravel()[:20000]
+    runs += [(f"codec/{c}/Miranda-1d", line, c, 1e-3, {}) for c in ONE_D_CODECS]
     for name, data, codec, eps, kw in runs:
         blob = codecs.compress(codec, data, eps, **kw)
         out[name + "/payload"] = _sha(blob)
