@@ -158,11 +158,14 @@ def _probe_level(
 def _candidate_configs(opts: TuneOptions, active: tuple[int, ...]) -> list[InterpConfig]:
     out: list[InterpConfig] = []
     orders: list[tuple[int, ...] | None] = [None]
+    # with one active axis every paradigm walks alike: offer the first
+    paradigms = opts.paradigms[:1]
     if len(active) > 1:
         # Forward and reversed axis orders (the full permutation set grows
         # the tuning cost beyond HPEZ's "high-performance" envelope).
         orders = [tuple(active), tuple(reversed(active))]
-    for paradigm in opts.paradigms:
+        paradigms = opts.paradigms
+    for paradigm in paradigms:
         for spline in opts.splines:
             sls = (False, True) if (opts.same_level and spline != "linear") else (False,)
             for sl in sls:

@@ -68,8 +68,17 @@ def json_section(obj: Any) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode()
 
 
+class _Meta(dict):
+    """A JSON object of a meta section; reading a key it lacks is damage."""
+
+    def __missing__(self, key: str) -> Any:
+        raise ValueError(f"{_CORRUPT}: no meta key {key!r}")
+
+
 def from_json(data: bytes) -> Any:
-    return json.loads(data.decode())
+    """Value of a :func:`json_section`; reading a key one of its objects
+    lacks raises ``ValueError("corrupt container: no meta key ...")``."""
+    return json.loads(data.decode(), object_hook=_Meta)
 
 
 def array_section(a: np.ndarray) -> bytes:

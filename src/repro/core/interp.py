@@ -17,18 +17,13 @@ with stride ``s = 2^(l-1)`` and per-level error bound
   ``r``-odd points are predicted by the inverse-variance-weighted
   combination (Eq. 9/12) of the 1-D interpolations along their odd axes.
 
-Cubic passes may be split into two phases (same-level interpolation,
-§5.4.2): phase 1 predicts targets ``j ≡ 1 (mod 4)`` with the inter-level
-stencil, phase 2 predicts ``j ≡ 3 (mod 4)`` with the same-level stencil
-(Eqs. 13/14) whose ±2 neighbours are phase-1 outputs.
-
 Neighbour indices that fall outside the array are mirrored about the
 target and, failing that, clamped to an even (always-known) index — this
 keeps every read *parity-safe*: the decompressor replays the identical
 walk on a NaN-initialized array and never reads an unwritten point.
 
 :func:`passes` is the one definition of this structure: the walk runs
-its passes, the code stream is laid out in its order (each pass owns the
+its passes' steps, the code stream is laid out in its order (each pass owns the
 next ``Pass.size`` codes, C order over its targets), and
 :func:`encode_walk` quantizes it: :func:`compress` over every level, the
 tuner's §6.2 probes over one level at a time. The stream keeps the
@@ -36,28 +31,27 @@ codes' natural width, ``quantizer.STREAM_DTYPE`` (uint16), from the
 quantizer through the byte planes (:mod:`.codes`) and back into
 :func:`decompress`.
 
-Each pass (and each same-level phase) runs in slabs of consecutive
-target rows along axis 0, one slab after another: a slab holds at most
-``SLAB`` targets, or one row when a row is bigger. A slab restricts
-axis 0 of the pass's selection to its rows; when the pass interpolates
-along axis 0 it takes the slab's slice of the axis-0 target positions
-instead, and the neighbour indices stay those of the whole line (the
-boundary rule depends only on the target index and the axis length).
-Slabs bound the pass's temporaries (prediction, quantizer buffers, the
-contiguous source copy ``line_predict`` gathers from) to about ``SLAB``
-elements each, instead of up to half the field.
-They change no byte: no target of a pass or phase reads another target
-of the same pass or phase, every element gets the same operations in
-the same order, and slabs follow axis 0, so the C order of the codes
-and of the literals a pass emits (compress) or consumes (decompress)
-is that of the whole pass.
+Each pass is planned once as its steps (:class:`Step`), each a vectorized
+predict-and-quantize of targets that read no other target of the step,
+split from the pass in this order:
 
-``fvfi=False`` (Table 6 ablation) runs each pass one position of the last,
-fastest-varying axis at a time — QoZ's traversal with poor memory
-locality — instead of one vectorized strided pass, unless the pass
-interpolates along that axis.
+* ``fvfi=False`` (Table 6 ablation): one position of the last,
+  fastest-varying axis at a time — QoZ's traversal with poor memory
+  locality — unless the pass interpolates along that axis;
+* same-level interpolation (§5.4.2) in a cubic 1-D pass: targets
+  ``j ≡ 1 (mod 4)`` with the inter-level stencil, then ``j ≡ 3 (mod 4)``
+  with the same-level stencil (Eqs. 13/14) reading the first phase's
+  outputs as ±2 neighbours;
+* slabs of consecutive target rows along axis 0, at most ``SLAB``
+  targets each (or one row when a row is bigger), which bound the
+  temporaries (prediction, quantizer buffers, the source copy
+  ``line_predict`` gathers from) to about ``SLAB`` elements each.
 
-Block-wise tuning (§6.6) supplies a spline id per ``BLOCK``^d block; each slab
+Neighbour indices stay those of the whole line, and slabs follow axis 0,
+so they change no byte; the ``fvfi=False`` columns change only the
+literal order.
+
+Block-wise tuning (§6.6) supplies a spline id per ``BLOCK``^d block; each step
 computes the prediction for every spline in use and blends them with the
 block mask, so the walk stays vectorized and bit-exact on both sides.
 """
@@ -184,20 +178,44 @@ def _put(sel: tuple, ax: int, sl: slice) -> tuple:
     return sel[:ax] + (sl,) + sel[ax + 1 :]
 
 
+def _span(r: range) -> slice:
+    return slice(r.start, r.stop, r.step)
+
+
+def _cut(pos: tuple[range, ...], ax: int, sl: slice) -> tuple[range, ...]:
+    return pos[:ax] + (pos[ax][sl],) + pos[ax + 1 :]
+
+
+@dataclass(frozen=True)
+class Step:
+    """One vectorized predict-and-quantize of a pass: the targets
+    ``sel``, their positions along each of the pass's axes in units of
+    its stride (``tpos``), whether they take the same-level stencil
+    (§5.4.2), and their codes, the slice ``out`` of the pass's chunk
+    (``chunk[out]`` has the shape of ``a[sel]``)."""
+
+    sel: tuple
+    tpos: tuple[range, ...]
+    same_level: bool
+    out: tuple
+
+
 @dataclass(frozen=True)
 class Pass:
     """One step of the walk at level ``level`` (stride ``s = 2^(level-1)``).
 
     ``sel`` selects the targets: odd multiples of ``s`` on every axis in
     ``axes``, the already-known grid on the other active axes, everything
-    on frozen axes. One axis is a 1-D spline pass (same-level phases are
-    split inside it); several axes are an Eq. 9 multi-dimensional step."""
+    on frozen axes. One axis is a 1-D spline pass; several axes are an
+    Eq. 9 multi-dimensional step. ``steps`` cover the targets, and the
+    chunk of ``size`` codes they own, exactly once, in walk order."""
 
     level: int
     lc: InterpConfig
     axes: tuple[int, ...]
     sel: tuple
     shape: tuple[int, ...]  # of the targets, ``a[sel].shape``
+    steps: tuple[Step, ...]
 
     @property
     def size(self) -> int:
@@ -218,6 +236,8 @@ def passes(
         int(cfg.anchor_stride),
         tuple(cfg.level_configs),
         tuple(cfg.frozen_axes),
+        bool(cfg.fvfi),
+        SLAB,
         None if levels is None else tuple(levels),
     )
 
@@ -228,6 +248,8 @@ def _plan(
     anchor_stride: int,
     level_configs: tuple[InterpConfig, ...],
     frozen_axes: tuple[int, ...],
+    fvfi: bool,
+    slab: int,
     levels: tuple[int, ...] | None,
 ) -> tuple[Pass, ...]:
     plan = []
@@ -243,19 +265,19 @@ def _plan(
             # refined to stride s, later ones are still at 2s
             order = tuple(d for d in lc.dim_order or active if d in active)
             order = order + tuple(d for d in active if d not in order)
-            steps = [
+            groups = [
                 ((d,), {dd: s if j < k else 2 * s for j, dd in enumerate(order)})
                 for k, d in enumerate(order)
             ]
         else:
             # points grouped by their set of odd axes, fewest first
             grid = {ax: 2 * s for ax in active}
-            steps = [
+            groups = [
                 (A, grid)
                 for r in range(1, len(active) + 1)
                 for A in combinations(active, r)
             ]
-        for axes, stride in steps:
+        for axes, stride in groups:
             if any(shape[d] <= s for d in axes):
                 continue
             sel = tuple(
@@ -264,12 +286,45 @@ def _plan(
                 else slice(0, None, stride[ax]) if ax in stride else ALL
                 for ax in range(len(shape))
             )
-            plan.append(
-                Pass(
-                    l, lc, axes, sel, tuple(len(range(n)[sl]) for n, sl in zip(shape, sel))
+            tgt = [range(n)[sl] for n, sl in zip(shape, sel)]
+            steps = _steps(tgt, axes, lc, fvfi, slab)
+            plan.append(Pass(l, lc, axes, sel, tuple(map(len, tgt)), steps))
+    return tuple(plan)
+
+
+def _steps(
+    tgt: list[range], axes: tuple[int, ...], lc: InterpConfig, fvfi: bool, slab: int
+) -> tuple[Step, ...]:
+    """Steps, in walk order, of the pass whose targets are ``tgt``
+    (indices per axis): columns, phases, then slabs (module docstring)."""
+    tpos = [range(1, len(tgt[d]) * 2, 2) for d in axes]
+    last = len(tgt) - 1
+    # (same-level phase, chunk positions along each axis)
+    whole = tuple(range(len(t)) for t in tgt)
+    pieces = [(False, whole)]
+    if not fvfi and last not in axes:
+        pieces = [(False, _cut(whole, last, slice(k, k + 1))) for k in whole[last]]
+    if len(axes) == 1 and lc.same_level and lc.spline != "linear" and len(tpos[0]) > 1:
+        d = axes[0]
+        pieces = [
+            (h == 1, _cut(pos, d, slice(h, None, 2)))
+            for _, pos in pieces
+            for h in (0, 1)
+        ]
+    steps = []
+    for same_level, pos in pieces:
+        rows = max(1, slab // max(1, math.prod(map(len, pos[1:]))))
+        for k in range(0, len(pos[0]), rows):
+            q = _cut(pos, 0, slice(k, k + rows))
+            steps.append(
+                Step(
+                    tuple(_span(t[_span(r)]) for t, r in zip(tgt, q)),
+                    tuple(t[_span(q[d])] for d, t in zip(axes, tpos)),
+                    same_level,
+                    tuple(map(_span, q)),
                 )
             )
-    return tuple(plan)
+    return tuple(steps)
 
 
 def stream_size(
@@ -279,155 +334,83 @@ def stream_size(
     return sum(p.size for p in passes(shape, cfg, levels))
 
 
-class _Walk:
-    """Shared compress/decompress traversal.
+def _walk(
+    a: np.ndarray,
+    e: float,
+    cfg: EngineConfig,
+    qfun: Callable[[np.ndarray, tuple, float, np.ndarray], np.ndarray],
+    codes: np.ndarray,
+    levels: tuple[int, ...] | None = None,
+) -> None:
+    """Run the steps of the passes of ``levels`` (default: all) on ``a``
+    in place; the compress/decompress traversal.
 
-    ``codes`` is the code stream of the passes run, in pass order.
+    ``codes`` is the code stream of those passes, in pass order.
     ``qfun(pred, sel, e_l, out)`` quantizes (compress) or dequantizes
     (decompress) the targets at selection ``sel`` whose codes are the
     stream view ``out`` and returns the reconstruction, which the walk
-    writes back into the working array.
+    writes back into ``a``.
     """
+    used = [] if cfg.block_cfg is None else np.unique(cfg.block_cfg).tolist()
+    off = 0
+    for p in passes(a.shape, cfg, levels):
+        chunk = codes[off : off + p.size].reshape(p.shape)
+        off += p.size
+        e_l = e / min(cfg.alpha ** (p.level - 1), cfg.beta)
+        for st in p.steps:
+            a[st.sel] = qfun(_blend(a, cfg, p, st, used), st.sel, e_l, chunk[st.out])
 
-    def __init__(
-        self,
-        a: np.ndarray,
-        e: float,
-        cfg: EngineConfig,
-        qfun: Callable[[np.ndarray, tuple, float, np.ndarray], np.ndarray],
-        codes: np.ndarray,
-    ) -> None:
-        self.a = a
-        self.e = e
-        self.cfg = cfg
-        self.qfun = qfun
-        self.codes = codes
-        self._used_splines = (
-            [int(u) for u in np.unique(cfg.block_cfg)]
-            if cfg.block_cfg is not None
-            else []
-        )
 
-    def run(self, levels: tuple[int, ...] | None = None) -> None:
-        """Run every pass of ``levels`` (default: all) in order."""
-        last = self.a.ndim - 1
-        off = 0
-        for p in passes(self.a.shape, self.cfg, levels):
-            chunk = self.codes[off : off + p.size].reshape(p.shape)
-            off += p.size
-            if self.cfg.fvfi or last in p.axes:
-                self._run_pass(p, p.sel, chunk)
-                continue
-            # w/o FVFI (Table 6): QoZ's traversal, one position of the
-            # fastest-varying axis at a time — same arithmetic, poor
-            # memory locality; only the literal stream order changes.
-            for k, i in enumerate(range(self.a.shape[last])[p.sel[last]]):
-                self._run_pass(
-                    p, _put(p.sel, last, slice(i, i + 1)), chunk[..., k : k + 1]
-                )
+def _predict(
+    a: np.ndarray, p: Pass, st: Step, stencil: str, sigma2: tuple[float, ...] | None
+) -> np.ndarray:
+    """1-D spline prediction of step ``st`` along each axis of pass
+    ``p``, combined by inverse-variance weights (Eq. 9/12) when there are
+    several. Each stencil gathers along its native axis ``d``; the
+    combine accumulates in place, in axis order."""
+    axes, s = p.axes, 1 << (p.level - 1)
 
-    def _run_pass(self, p: Pass, sel: tuple, chunk: np.ndarray) -> None:
-        s = 1 << (p.level - 1)
-        e_l = self.e / min(self.cfg.alpha ** (p.level - 1), self.cfg.beta)
-        tpos = [range(1, (self.a.shape[d] - 1) // s + 1, 2) for d in p.axes]
-        if (
-            len(p.axes) == 1
-            and p.lc.same_level
-            and p.lc.spline != "linear"
-            and len(tpos[0]) > 1
-        ):
-            # §5.4.2: j = 1 (mod 4) inter-level, then j = 3 (mod 4) with the
-            # same-level stencil reading the phase-1 outputs; the phases
-            # own the even and odd chunk positions along d
-            d = p.axes[0]
-            phases = [
-                (
-                    _put(sel, d, slice((2 * h + 1) * s, None, 4 * s)),
-                    h == 1,
-                    [tpos[0][h::2]],
-                    chunk[(ALL,) * d + (slice(h, None, 2),)],
-                )
-                for h in (0, 1)
-            ]
-        else:
-            phases = [(sel, False, tpos, chunk)]
-        for sel_t, sl_phase, tp, out in phases:
-            # slabs of consecutive target rows along axis 0
-            rows = range(self.a.shape[0])[sel_t[0]]
-            step = max(1, SLAB // max(1, math.prod(out.shape[1:])))
-            for k0 in range(0, len(rows), step):
-                k = slice(k0, k0 + step)
-                r = rows[k]
-                slab = _put(sel_t, 0, slice(r.start, r.stop, r.step))
-                tk = [t[k] if d == 0 else t for d, t in zip(p.axes, tp)]
-                pred = self._blend_blocks(
-                    p,
-                    slab,
-                    sl_phase,
-                    lambda st: self._predict(slab, p.axes, s, tk, st),
-                )
-                self.a[slab] = self.qfun(pred, slab, e_l, out[k])
+    def along(d: int, t: range) -> np.ndarray:
+        v = a[_put(st.sel, d, slice(0, None, s))]
+        return splines.line_predict(v, t, stencil, axis=d)
 
-    def _predict(
-        self,
-        sel: tuple,
-        axes: tuple[int, ...],
-        s: int,
-        tpos: list[range],
-        stencil: str,
-    ) -> np.ndarray:
-        """1-D spline prediction along each axis of ``axes``, combined by
-        inverse-variance weights (Eq. 9/12) when there are several. Each
-        stencil gathers along its native axis ``d``; the combine
-        accumulates in place, in axis order."""
+    if len(axes) == 1:
+        return along(axes[0], st.tpos[0])
+    sig = sigma2 or tuple(1.0 for _ in range(a.ndim))
+    inv = np.array([1.0 / max(sig[d], 1e-30) for d in axes])
+    w = inv / inv.sum()
+    acc = along(axes[0], st.tpos[0])
+    acc *= w[0]
+    for d, t, wi in zip(axes[1:], st.tpos[1:], w[1:]):
+        pd = along(d, t)
+        pd *= wi
+        acc += pd
+    return acc
 
-        def along(d: int, t: range) -> np.ndarray:
-            v = self.a[_put(sel, d, slice(0, None, s))]
-            return splines.line_predict(v, t, stencil, axis=d)
 
-        if len(axes) == 1:
-            return along(axes[0], tpos[0])
-        sig = self.cfg.md_sigma2 or tuple(1.0 for _ in range(self.a.ndim))
-        inv = np.array([1.0 / max(sig[d], 1e-30) for d in axes])
-        w = inv / inv.sum()
-        acc = along(axes[0], tpos[0])
-        acc *= w[0]
-        for d, t, wi in zip(axes[1:], tpos[1:], w[1:]):
-            pd = along(d, t)
-            pd *= wi
-            acc += pd
-        return acc
+def _blend(
+    a: np.ndarray, cfg: EngineConfig, p: Pass, st: Step, used: list[int]
+) -> np.ndarray:
+    """Prediction of step ``st`` of pass ``p`` with the level spline, or
+    blended per §6.6 block from the splines ``used`` in the block map.
 
-    def _cfg_ids(self, sel: tuple) -> np.ndarray:
-        """Block spline id per target position for selection ``sel``."""
-        axes_pos = [np.arange(n)[sl] // BLOCK for n, sl in zip(self.a.shape, sel)]
-        assert self.cfg.block_cfg is not None
-        return self.cfg.block_cfg[np.ix_(*axes_pos)]
+    The map applies on the final level only: block tuning scores splines
+    at stride 1 (§6.6's sub-block test), which says nothing about the
+    coarse levels — there the globally tuned config stays."""
 
-    def _blend_blocks(
-        self,
-        p: Pass,
-        sel_t: tuple,
-        sl_phase: bool,
-        pred_of: Callable[[str], np.ndarray],
-    ) -> np.ndarray:
-        """Per-block spline blending (§6.6); falls back to the level spline.
+    def pred_of(spline: str) -> np.ndarray:
+        stencil = _stencil_name(spline, st.same_level)
+        return _predict(a, p, st, stencil, cfg.md_sigma2)
 
-        The override applies on the final level only: block tuning scores
-        splines at stride 1 (§6.6's sub-block test), which says nothing
-        about the coarse levels — there the globally tuned config stays."""
-        if self.cfg.block_cfg is None or p.level != 1:
-            return pred_of(_stencil_name(p.lc.spline, sl_phase))
-        used = self._used_splines
-        if len(used) == 1:
-            return pred_of(_stencil_name(splines.SPLINE_CHOICES[used[0]], sl_phase))
-        ids = self._cfg_ids(sel_t)
-        pred: np.ndarray | None = None
-        for sid in used:
-            cand = pred_of(_stencil_name(splines.SPLINE_CHOICES[sid], sl_phase))
-            pred = cand if pred is None else np.where(ids == sid, cand, pred)
-        assert pred is not None
-        return pred
+    if cfg.block_cfg is None or p.level != 1:
+        return pred_of(p.lc.spline)
+    pred = pred_of(splines.SPLINE_CHOICES[used[0]])
+    if len(used) > 1:
+        pos = [np.arange(n)[sl] // BLOCK for n, sl in zip(a.shape, st.sel)]
+        ids = cfg.block_cfg[np.ix_(*pos)]
+        for sid in used[1:]:
+            pred = np.where(ids == sid, pred_of(splines.SPLINE_CHOICES[sid]), pred)
+    return pred
 
 
 def _anchor_sel(shape: tuple[int, ...], cfg: EngineConfig) -> tuple:
@@ -451,7 +434,7 @@ def encode_walk(
     def qfun(pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray) -> np.ndarray:
         return enc.quantize(pred, a[sel], e_l, out)
 
-    _Walk(a, e, cfg, qfun, stream).run(levels)
+    _walk(a, e, cfg, qfun, stream, levels)
     return stream, enc.literals()
 
 
@@ -525,5 +508,5 @@ def decompress(payload: bytes) -> np.ndarray:
     def qfun(pred: np.ndarray, sel: tuple, e_l: float, out: np.ndarray) -> np.ndarray:
         return dec.dequantize(pred, e_l, out)
 
-    _Walk(a, e, cfg, qfun, codes).run()
+    _walk(a, e, cfg, qfun, codes)
     return a

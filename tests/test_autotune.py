@@ -122,6 +122,21 @@ def test_disabled_features_stay_disabled():
         assert not c.same_level
 
 
+def test_one_active_axis_offers_no_duplicate_candidates():
+    """With one active axis ``md`` walks exactly like ``1d``, so the
+    §6.2 candidates are the ``1d`` ones only; two axes offer both
+    paradigms and both dimension orders."""
+    splines = [("linear", False)] + [
+        (sp, sl) for sp in ("cubic_nak", "cubic_nat") for sl in (False, True)
+    ]
+    assert autotune._candidate_configs(TuneOptions(), (0,)) == [
+        InterpConfig("1d", sp, sl, None) for sp, sl in splines
+    ]
+    assert autotune._candidate_configs(TuneOptions(), (0, 2)) == [
+        InterpConfig("1d", sp, sl, o) for sp, sl in splines for o in ((0, 2), (2, 0))
+    ] + [InterpConfig("md", sp, sl, None) for sp, sl in splines]
+
+
 def test_block_map_shape():
     f = _freeze_friendly((8, 80, 70))
     m = autotune.tune_blocks(f, TuneOptions(), (), "cubic_nak", 1e-3)

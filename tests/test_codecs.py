@@ -210,34 +210,67 @@ def test_registry_is_the_presets():
         assert codecs._CODECS[name].decompress is pipeline.decompress
 
 
-def _damaged(outer=None, meta=None):
+def _edit(m, edits):
+    """``m`` with ``edits`` merged in, nested dicts too; ``None`` values
+    drop a key."""
+    for k, v in edits.items():
+        if v is None:
+            m.pop(k, None)
+        else:
+            m[k] = _edit(m[k], v) if isinstance(v, dict) else v
+    return m
+
+
+def _edit_meta(sections, edits):
+    if edits is not None:
+        m = _edit(container.from_json(sections["meta"]), edits)
+        sections["meta"] = container.json_section(m)
+
+
+def _damaged(outer=None, meta=None, inner=None):
     """A hand-packed hpez blob: ``outer`` replaces dispatch sections,
-    ``meta`` the prediction meta (``None`` values drop a key)."""
+    ``meta`` edits the prediction meta and ``inner`` the interpolation
+    meta (``None`` values drop a key)."""
     data = generate("Miranda", "test")
     sec = container.unpack(codecs.compress("hpez", data, 1e-2))
     payload = container.unpack(sec["payload"])
-    if meta is not None:
-        m = container.from_json(payload["meta"]) | meta
-        m = {k: v for k, v in m.items() if v is not None}
-        payload["meta"] = container.json_section(m)
+    _edit_meta(payload, meta)
+    interp_payload = container.unpack(payload["inner"])
+    _edit_meta(interp_payload, inner)
+    payload["inner"] = container.pack(list(interp_payload.items()))
     sec["payload"] = container.pack(list(payload.items()))
     sec |= outer or {}
     return container.pack([(k, v) for k, v in sec.items() if v is not None])
 
 
 @pytest.mark.parametrize(
-    "outer,meta,match",
+    "outer,meta,inner,match",
     [
-        ({"codec": b"nope"}, None, "unknown codec tag 'nope'"),
-        ({"payload": None}, None, "no section 'payload'"),
-        ({"codec": None}, None, "no section 'codec'"),
-        (None, {"kind": None}, "unknown predictor kind None"),
-        (None, {"kind": "spline"}, "unknown predictor kind 'spline'"),
+        ({"codec": b"nope"}, None, None, "unknown codec tag 'nope'"),
+        ({"payload": None}, None, None, "no section 'payload'"),
+        ({"codec": None}, None, None, "no section 'codec'"),
+        (None, {"kind": None}, None, "unknown predictor kind None"),
+        (None, {"kind": "spline"}, None, "unknown predictor kind 'spline'"),
+        (None, None, {"shape": None}, "no meta key 'shape'"),
+        (None, None, {"cfg": None}, "no meta key 'cfg'"),
+        (None, None, {"e": None}, "no meta key 'e'"),
+        (None, None, {"cfg": {"alpha": None}}, "no meta key 'alpha'"),
     ],
-    ids=["unknown-tag", "no-payload", "no-codec", "no-kind", "bad-kind"],
+    ids=[
+        "unknown-tag",
+        "no-payload",
+        "no-codec",
+        "no-kind",
+        "bad-kind",
+        "no-shape",
+        "no-cfg",
+        "no-e",
+        "no-alpha",
+    ],
 )
-def test_damaged_dispatch_raises_value_error(outer, meta, match):
-    """A blob whose dispatch data is damaged raises ``ValueError``, the
-    error every other damage check raises, not ``KeyError``."""
+def test_damaged_dispatch_raises_value_error(outer, meta, inner, match):
+    """A blob whose dispatch data or meta is damaged raises
+    ``ValueError``, the error every other damage check raises, not
+    ``KeyError``."""
     with pytest.raises(ValueError, match=match):
-        codecs.decompress(_damaged(outer, meta))
+        codecs.decompress(_damaged(outer, meta, inner))

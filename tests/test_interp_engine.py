@@ -119,6 +119,38 @@ def test_pass_selections_cover_exactly_once(shape, paradigm):
     np.testing.assert_array_equal(covered, expect)
 
 
+@pytest.mark.parametrize("shape", [(33,), (17, 23), (19, 23, 17), (7, 9, 6, 10)])
+@pytest.mark.parametrize("paradigm", ["1d", "md"])
+@pytest.mark.parametrize("same_level", [False, True])
+@pytest.mark.parametrize("fvfi", [True, False])
+@pytest.mark.parametrize("slab", [1, interp.SLAB])
+def test_pass_steps_cover_targets_and_codes_once(
+    monkeypatch, shape, paradigm, same_level, fvfi, slab
+):
+    """A pass's steps cover its targets and its chunk of the code stream
+    exactly once, each step's codes have the shape of its targets, and
+    its positions are its targets' indices along the pass's axes."""
+    monkeypatch.setattr(interp, "SLAB", slab)
+    cfg = EngineConfig(
+        level_configs=(InterpConfig(paradigm, "cubic_nat", same_level, None),),
+        fvfi=fvfi,
+    )
+    for p in passes(shape, cfg):
+        s = 1 << (p.level - 1)
+        targets = np.zeros(shape, dtype=int)
+        chunk = np.zeros(p.shape, dtype=int)
+        for st in p.steps:
+            assert targets[st.sel].shape == chunk[st.out].shape
+            targets[st.sel] += 1
+            chunk[st.out] += 1
+            for d, t in zip(p.axes, st.tpos):
+                assert [s * j for j in t] == list(range(shape[d])[st.sel[d]])
+        expect = np.zeros(shape, dtype=int)
+        expect[p.sel] = 1
+        np.testing.assert_array_equal(targets, expect)
+        assert (chunk == 1).all()
+
+
 def test_decompress_no_nan():
     """The decompressor starts from NaN; a NaN in the output would mean
     it read an unwritten point."""
@@ -353,7 +385,7 @@ def test_stream_equals_scatter_gather_reference(case, rel_eps):
         return ref.quantize(pred, a[sel], e_l, sel)
 
     unused = np.empty(interp.stream_size(shape, cfg), np.int32)
-    interp._Walk(a, e, cfg, qfun, unused).run()
+    interp._walk(a, e, cfg, qfun, unused)
     sec = container.unpack(blob)
     np.testing.assert_array_equal(codes.decode(sec["codes"]), ref.stream(cfg))
     np.testing.assert_array_equal(a, recon)
@@ -379,9 +411,9 @@ def test_encode_walk_stream_is_uint16():
     np.testing.assert_array_equal(out, stream)
 
 
-def test_pass_plans_are_cached():
-    """Equal keys share one plan, equal to a fresh one; the cache is
-    bounded."""
+def test_pass_plans_are_cached(monkeypatch):
+    """Equal keys share one plan, equal to a fresh one; the traversal
+    order and the slab size are part of the key; the cache is bounded."""
     shape = (17, 9, 12)
     cfg = EngineConfig(
         anchor_stride=8,
@@ -390,7 +422,12 @@ def test_pass_plans_are_cached():
     )
     plan = passes(shape, cfg)
     assert passes(list(shape), EngineConfig(**vars(cfg))) is plan
-    fresh = interp._plan.__wrapped__(shape, 8, cfg.level_configs, cfg.frozen_axes, None)
+    fresh = interp._plan.__wrapped__(
+        shape, 8, cfg.level_configs, cfg.frozen_axes, True, interp.SLAB, None
+    )
     assert plan == fresh
     assert passes(shape, cfg, (2,)) == tuple(p for p in plan if p.level == 2)
+    assert passes(shape, dataclasses.replace(cfg, fvfi=False)) != plan
+    monkeypatch.setattr(interp, "SLAB", 1)
+    assert passes(shape, cfg) != plan
     assert interp._plan.cache_info().maxsize == interp.PLAN_CACHE
