@@ -202,7 +202,7 @@ class Step:
 
 @dataclass(frozen=True)
 class Pass:
-    """One step of the walk at level ``level`` (stride ``s = 2^(level-1)``).
+    """One pass of the walk at level ``level`` (stride ``s = 2^(level-1)``).
 
     ``sel`` selects the targets: odd multiples of ``s`` on every axis in
     ``axes``, the already-known grid on the other active axes, everything
