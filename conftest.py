@@ -1,6 +1,12 @@
 import os
 import sys
 
+# tthresh's payloads round through OpenBLAS, which picks its kernel per CPU;
+# the golden fixture (tests/test_golden_payloads.py) is made with this one,
+# which runs on any x86-64 CPU. OpenBLAS reads it when NumPy loads, so it is
+# set before anything imports NumPy.
+os.environ["OPENBLAS_CORETYPE"] = "Prescott"
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.

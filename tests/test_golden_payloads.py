@@ -21,25 +21,41 @@ the payload format on purpose regenerates the fixture in one step::
 The hashes depend on the libzstd build's output; the fixture records the
 libzstd version (``ZSTD_versionNumber``) it was made with, and a different
 libzstd fails the test before any hash is compared.
+
+tthresh's hashes also depend on the BLAS kernel: its Gram products,
+``eigh`` and ``tensordot`` run through OpenBLAS, which picks a kernel per
+CPU, and kernels round differently. The kernel is pinned to
+``OPENBLAS_CORETYPE=Prescott`` (it runs on any x86-64 CPU) before NumPy
+loads: by ``conftest.py`` under pytest, and at the top of this module when
+it regenerates the fixture. The fixture records a fingerprint of those
+three BLAS calls (:func:`blas_fingerprint`), and a different one fails the
+test before any hash is compared.
 """
 from __future__ import annotations
 
-import hashlib
-import json
-from itertools import product
-from pathlib import Path
+import os
 
-import numpy as np
+if __name__ == "__main__":
+    # read by OpenBLAS when NumPy loads; conftest.py sets the same
+    os.environ["OPENBLAS_CORETYPE"] = "Prescott"
 
-from repro import codecs
-from repro.core import interp, lossless, splines
-from repro.core.interp import EngineConfig, InterpConfig
-from repro.datasets import TEST_SHAPES, generate
+import hashlib  # noqa: E402
+import json  # noqa: E402
+from itertools import product  # noqa: E402
+from pathlib import Path  # noqa: E402
 
-from .test_interp_engine import _field
+import numpy as np  # noqa: E402
+
+from repro import codecs  # noqa: E402
+from repro.core import interp, lossless, splines  # noqa: E402
+from repro.core.interp import EngineConfig, InterpConfig  # noqa: E402
+from repro.datasets import TEST_SHAPES, generate  # noqa: E402
+
+from .test_interp_engine import _field  # noqa: E402
 
 FIXTURE = Path(__file__).with_name("golden_payloads.json")
 ZSTD_KEY = "_zstd"
+BLAS_KEY = "_blas"
 
 ENGINE_SHAPES = ((97,), (37, 41), (19, 23, 17), (7, 9, 6, 10))
 #: relative bounds of the codec cases besides 1e-3
@@ -52,6 +68,17 @@ def _sha(b: bytes | np.ndarray) -> str:
     if isinstance(b, np.ndarray):
         b = np.ascontiguousarray(b).tobytes()
     return hashlib.sha256(b).hexdigest()
+
+
+def blas_fingerprint() -> str:
+    """sha256 of a Gram product, its ``eigh`` and a ``tensordot`` on a
+    fixed seeded field, the BLAS calls tthresh makes; OpenBLAS kernels
+    that round differently give different values."""
+    a = np.random.default_rng(0).standard_normal((40, 40, 36))
+    unf = a.reshape(a.shape[0], -1)
+    w, v = np.linalg.eigh(unf @ unf.T)
+    t = np.tensordot(v.T, a, axes=1)
+    return _sha(np.concatenate([w, v.ravel(), t.ravel()]))
 
 
 def _engine_cases() -> dict[str, tuple[np.ndarray, float, EngineConfig]]:
@@ -87,7 +114,7 @@ def _engine_cases() -> dict[str, tuple[np.ndarray, float, EngineConfig]]:
 
 def golden_hashes() -> dict[str, str]:
     """sha256 of every golden payload and decompressed array, by case."""
-    out = {ZSTD_KEY: lossless.VERSION}
+    out = {ZSTD_KEY: lossless.VERSION, BLAS_KEY: blas_fingerprint()}
     runs: list[tuple[str, np.ndarray, str, float, dict]] = [
         (f"codec/{c}/{d}" + ("" if eps == 1e-3 else f"/eps{eps:g}"), generate(d), c, eps, {})
         for eps in (1e-3,) + CODEC_EPS
@@ -116,6 +143,7 @@ def _engine_hashes() -> dict[str, str]:
 def _expected() -> dict[str, str]:
     expect = json.loads(FIXTURE.read_text())
     assert lossless.VERSION == expect[ZSTD_KEY], "fixture made with another libzstd"
+    assert blas_fingerprint() == expect[BLAS_KEY], "fixture made with another BLAS kernel"
     return expect
 
 
