@@ -33,7 +33,7 @@ ALL_CODECS = HIGH_PERFORMANCE + HIGH_RATIO
 #: name -> codec (a preset or a codec module); each has ``compress`` and
 #: ``decompress``.
 _CODECS = {
-    **{name: PredictionCodec(name, opts) for name, opts in PRESETS.items()},
+    **{name: PredictionCodec(opts) for name, opts in PRESETS.items()},
     "zfp": zfp,
     "sperr": sperr,
     "faz": faz,
@@ -66,13 +66,10 @@ def abs_bound(data: np.ndarray, eps: float, mode: str = "rel") -> float:
     return e
 
 
-def compress(
-    name: str, data: np.ndarray, eps: float, mode: str = "rel", **kw
-) -> bytes:
+def compress(name: str, data: np.ndarray, eps: float, mode: str = "rel") -> bytes:
     """Compress ``data`` with codec ``name`` under value-range (or
     absolute) error bound ``eps``; returns a self-describing blob."""
-    codec = _CODECS[name]
-    inner = codec.compress(data, abs_bound(data, eps, mode), **kw)
+    inner = _CODECS[name].compress(data, abs_bound(data, eps, mode))
     return container.pack(
         [("codec", name.encode()), ("payload", inner)]
     )
@@ -90,7 +87,7 @@ def decompress(blob: bytes) -> np.ndarray:
 
 
 def roundtrip(
-    name: str, data: np.ndarray, eps: float, **kw
+    name: str, data: np.ndarray, eps: float
 ) -> tuple[bytes, np.ndarray, float, float]:
     """Timed :func:`compress` → :func:`decompress` under value-range bound
     ``eps`` that checks ``max|x - x'| <= e`` (with 1e-6 relative slack for
@@ -98,7 +95,7 @@ def roundtrip(
     decompress_s)``."""
     e = abs_bound(data, eps)
     t0 = time.perf_counter()
-    blob = compress(name, data, eps, **kw)
+    blob = compress(name, data, eps)
     t1 = time.perf_counter()
     recon = decompress(blob)
     t2 = time.perf_counter()

@@ -4,6 +4,11 @@ A payload is an ordered list of named byte sections. The on-disk layout
 is ``MAGIC, nsections, [name_len, name, data_len, data]...`` — purely
 structural so compressed sizes are honest byte counts (no pickle for bulk
 data; small config dicts are serialized as UTF-8 JSON sections).
+
+A JSON meta section holds each fact its decoder needs once, and nothing
+the decoder does not read or can work out from the rest; its decoder
+reads every value through :func:`typed` / :func:`typed_tuple`, so a
+missing key or a value of the wrong type raises ``ValueError``.
 """
 from __future__ import annotations
 
@@ -79,6 +84,32 @@ def from_json(data: bytes) -> Any:
     """Value of a :func:`json_section`; reading a key one of its objects
     lacks raises ``ValueError("corrupt container: no meta key ...")``."""
     return json.loads(data.decode(), object_hook=_Meta)
+
+
+#: the Python types of a JSON value a meta key may hold, by its kind
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, list: list, dict: dict}
+
+
+def _checked(value: Any, kind: type, key: str) -> Any:
+    # a JSON bool is a bool, never a number
+    if isinstance(value, _JSON_TYPES[kind]) and (kind is bool) == isinstance(value, bool):
+        return value
+    raise ValueError(f"{_CORRUPT}: meta key {key!r} is not {kind.__name__}: {value!r}")
+
+
+def typed(meta: dict, key: str, kind: type) -> Any:
+    """``meta[key]`` if it holds a JSON ``kind`` (``float`` also takes an
+    int); any other value raises ``ValueError("corrupt container ...")``."""
+    return _checked(meta[key], kind, key)
+
+
+def typed_tuple(meta: dict, key: str, kind: type, nullable: bool = False) -> tuple | None:
+    """``meta[key]``, a JSON list of ``kind`` values (see :func:`typed`),
+    as a tuple; ``None`` stays ``None`` if ``nullable``."""
+    value = meta[key]
+    if value is None and nullable:
+        return None
+    return tuple(_checked(v, kind, key) for v in _checked(value, list, key))
 
 
 def array_section(a: np.ndarray) -> bytes:

@@ -102,10 +102,10 @@ class InterpConfig:
     @staticmethod
     def from_dict(d: dict) -> "InterpConfig":
         return InterpConfig(
-            paradigm=d["paradigm"],
-            spline=d["spline"],
-            same_level=d["same_level"],
-            dim_order=tuple(d["dim_order"]) if d["dim_order"] else None,
+            paradigm=container.typed(d, "paradigm", str),
+            spline=container.typed(d, "spline", str),
+            same_level=container.typed(d, "same_level", bool),
+            dim_order=container.typed_tuple(d, "dim_order", int, nullable=True) or None,
         )
 
 
@@ -145,16 +145,17 @@ class EngineConfig:
                 f"radius={d['radius']!r} (expected {BLOCK}, {RADIUS})"
             )
         return EngineConfig(
-            anchor_stride=d["anchor_stride"],
+            anchor_stride=container.typed(d, "anchor_stride", int),
             level_configs=tuple(
-                InterpConfig.from_dict(c) for c in d["level_configs"]
+                InterpConfig.from_dict(c)
+                for c in container.typed_tuple(d, "level_configs", dict)
             ),
-            alpha=d["alpha"],
-            beta=d["beta"],
-            frozen_axes=tuple(d["frozen_axes"]),
-            md_sigma2=tuple(d["md_sigma2"]) if d["md_sigma2"] else None,
+            alpha=container.typed(d, "alpha", float),
+            beta=container.typed(d, "beta", float),
+            frozen_axes=container.typed_tuple(d, "frozen_axes", int),
+            md_sigma2=container.typed_tuple(d, "md_sigma2", float, nullable=True) or None,
             block_cfg=block_cfg,
-            fvfi=d["fvfi"],
+            fvfi=container.typed(d, "fvfi", bool),
         )
 
 
@@ -452,12 +453,7 @@ def compress(
     anchors = np.ascontiguousarray(data[_anchor_sel(a.shape, cfg)])
     stream, lits = encode_walk(a, e, cfg)
 
-    meta = {
-        "shape": list(data.shape),
-        "dtype": orig_dtype.str,
-        "e": e,
-        "cfg": cfg.to_dict(),
-    }
+    meta = {"shape": list(data.shape), "e": e, "cfg": cfg.to_dict()}
     sections = [
         ("meta", container.json_section(meta)),
         ("anchors", container.array_section(anchors)),
@@ -487,9 +483,9 @@ def decompress(payload: bytes) -> np.ndarray:
     block_cfg = None
     if "blockcfg" in sec:
         block_cfg = container.to_array(lossless.decompress(sec["blockcfg"]))
-    cfg = EngineConfig.from_dict(meta["cfg"], block_cfg)
-    shape = tuple(meta["shape"])
-    e = float(meta["e"])
+    cfg = EngineConfig.from_dict(container.typed(meta, "cfg", dict), block_cfg)
+    shape = container.typed_tuple(meta, "shape", int)
+    e = float(container.typed(meta, "e", float))
     codes = codes_mod.decode(sec["codes"])
     if "literals" in sec:
         lits = container.to_array(lossless.decompress(sec["literals"])).astype(

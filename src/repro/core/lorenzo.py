@@ -67,12 +67,7 @@ def compress(data: np.ndarray, e: float) -> bytes:
             best = (order, blob)
     assert best is not None
     order, blob = best
-    meta = {
-        "shape": list(a.shape),
-        "dtype": np.asarray(data).dtype.str,
-        "e": e,
-        "order": order,
-    }
+    meta = {"shape": list(a.shape), "e": e, "order": order}
     return container.pack(
         [("meta", container.json_section(meta)), ("codes", blob)]
     )
@@ -81,7 +76,7 @@ def compress(data: np.ndarray, e: float) -> bytes:
 def decompress(payload: bytes) -> np.ndarray:
     sec = container.unpack(payload)
     meta = container.from_json(sec["meta"])
-    shape = tuple(meta["shape"])
+    shape = container.typed_tuple(meta, "shape", int)
     d = codes_mod.decode(sec["codes"]).reshape(shape)
-    u = _inverse(d, int(meta["order"]))
-    return 2.0 * float(meta["e"]) * u.astype(np.float64)
+    u = _inverse(d, container.typed(meta, "order", int))
+    return 2.0 * float(container.typed(meta, "e", float)) * u.astype(np.float64)

@@ -7,14 +7,14 @@ from the §7.1.3 value-range ``eps`` by ``codecs.abs_bound``).
 
 The three codecs are this one pipeline with different §5/§6 features
 switched on (§7.1.2, Fig. 17): a preset is a name and a
-:class:`TuneOptions` value in :data:`PRESETS`, and a Fig. 17 ablation is
-``replace(PRESETS["hpez"], ...)``. The traversal order ``fvfi`` is the one
-option a call may override (Table 6). A payload records the predictor
-the tuner chose, not the preset, so one :func:`decompress` reads them all.
+:class:`TuneOptions` value in :data:`PRESETS`, and an ablation is
+``replace(PRESETS["hpez"], ...)`` (Fig. 17) or the preset ``hpez-nofvfi``
+(Table 6). A payload records the predictor the tuner chose, not the
+preset, so one :func:`decompress` reads them all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +56,10 @@ PRESETS = {
     # (fast-varying-first + same-level cubic), dynamic dimension
     # freezing, Lorenzo tuning and block-wise interpolation tuning.
     "hpez": TuneOptions(),
+    # Table 6's ablation: HPEZ with the dim-major traversal instead of
+    # fast-varying-first interpolation (§5.4.1); not one of the paper's
+    # seven codecs
+    "hpez-nofvfi": TuneOptions(fvfi=False),
 }
 
 
@@ -74,25 +78,21 @@ def decompress(payload: bytes) -> np.ndarray:
 class PredictionCodec:
     """An SZ3-framework codec parameterized by its tuning options."""
 
-    name: str
     opts: TuneOptions
 
     # the payload names its predictor: every preset has the one decoder
     decompress = staticmethod(decompress)
 
-    def compress(self, data: np.ndarray, e: float, fvfi: bool | None = None) -> bytes:
-        """Compress under absolute error bound ``e``; ``fvfi`` overrides
-        the preset's traversal order for this call."""
+    def compress(self, data: np.ndarray, e: float) -> bytes:
+        """Compress under absolute error bound ``e``."""
         data = np.asarray(data)
-        opts = self.opts if fvfi is None else replace(self.opts, fvfi=fvfi)
-        result = autotune.tune(data, e, opts)
+        result = autotune.tune(data, e, self.opts)
         if result.use_lorenzo:
             inner = lorenzo.compress(data, e)
             kind = "lorenzo"
         else:
             inner, _ = interp.compress(data, e, result.cfg)
             kind = "interp"
-        meta = {"algo": self.name, "kind": kind, "e": e}
         return container.pack(
-            [("meta", container.json_section(meta)), ("inner", inner)]
+            [("meta", container.json_section({"kind": kind})), ("inner", inner)]
         )

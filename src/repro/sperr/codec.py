@@ -51,13 +51,7 @@ def compress(data: np.ndarray, e: float) -> bytes:
     step, q, recon = corrections.search_step(
         a, e, coeffs, lambda c: wavelet.inverse(c, levels), shrink=0.5
     )
-    meta = {
-        "shape": list(a.shape),
-        "dtype": np.asarray(data).dtype.str,
-        "e": e,
-        "step": step,
-        "levels": levels,
-    }
+    meta = {"shape": list(a.shape), "e": e, "step": step}
     sections = [
         ("meta", container.json_section(meta)),
         ("codes", codes_mod.encode(q.ravel(), center=0)),
@@ -68,9 +62,9 @@ def compress(data: np.ndarray, e: float) -> bytes:
 def decompress(blob: bytes) -> np.ndarray:
     sec = container.unpack(blob)
     meta = container.from_json(sec["meta"])
-    shape = tuple(meta["shape"])
-    e = float(meta["e"])
-    step = float(meta["step"])
+    shape = container.typed_tuple(meta, "shape", int)
+    e = float(container.typed(meta, "e", float))
+    step = float(container.typed(meta, "step", float))
     q = codes_mod.decode(sec["codes"]).reshape(shape)
-    recon = wavelet.inverse(2.0 * step * q.astype(np.float64), int(meta["levels"]))
+    recon = wavelet.inverse(2.0 * step * q.astype(np.float64), _n_levels(shape))
     return corrections.apply(recon, sec, e)

@@ -236,7 +236,7 @@ def table6_fvfi(
         mb = data.nbytes / 1e6
         for fvfi in (False, True):
             _, _, t_comp, t_dec = codecs.roundtrip(
-                "hpez", data, eps, fvfi=fvfi
+                "hpez" if fvfi else "hpez-nofvfi", data, eps
             )
             rows.append(
                 {

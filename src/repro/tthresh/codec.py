@@ -64,12 +64,7 @@ def compress(data: np.ndarray, e: float) -> bytes:
     step, q, recon = corrections.search_step(
         a, e, core, lambda c: _tucker_compose(c, factors), shrink=0.4
     )
-    meta = {
-        "shape": list(a.shape),
-        "dtype": np.asarray(data).dtype.str,
-        "e": e,
-        "step": step,
-    }
+    meta = {"shape": list(a.shape), "e": e, "step": step}
     sections = [
         ("meta", container.json_section(meta)),
         ("codes", codes_mod.encode(q.ravel(), center=0)),
@@ -82,9 +77,9 @@ def compress(data: np.ndarray, e: float) -> bytes:
 def decompress(blob: bytes) -> np.ndarray:
     sec = container.unpack(blob)
     meta = container.from_json(sec["meta"])
-    shape = tuple(meta["shape"])
-    e = float(meta["e"])
-    step = float(meta["step"])
+    shape = container.typed_tuple(meta, "shape", int)
+    e = float(container.typed(meta, "e", float))
+    step = float(container.typed(meta, "step", float))
     nd = len(shape)
     factors = [
         container.to_array(lossless.decompress(sec[f"factor{d}"])).astype(np.float64)

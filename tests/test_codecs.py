@@ -111,7 +111,7 @@ def test_psnr_target_mode():
     payload the registered hpez decoder reads within the bound."""
     data = generate("Miranda", "test")
     e = metrics.value_range(data) * 1e-3
-    codec = PredictionCodec("hpez", replace(PRESETS["hpez"], target="psnr"))
+    codec = PredictionCodec(replace(PRESETS["hpez"], target="psnr"))
     recon = pipeline.decompress(codec.compress(data, e))
     assert metrics.max_abs_err(data, recon) <= e * (1 + 1e-6)
 
@@ -203,11 +203,14 @@ def test_unknown_codec_raises():
 
 
 def test_registry_is_the_presets():
-    """sz3, qoz and hpez are one codec with three option sets, and one
-    decoder reads them all (and FAZ's interpolation leg)."""
+    """sz3, qoz, hpez and the Table 6 ablation are one codec with four
+    option sets, and one decoder reads them all (and FAZ's interpolation
+    leg)."""
     for name, opts in PRESETS.items():
-        assert codecs._CODECS[name] == PredictionCodec(name, opts)
+        assert codecs._CODECS[name] == PredictionCodec(opts)
         assert codecs._CODECS[name].decompress is pipeline.decompress
+    assert PRESETS["hpez-nofvfi"] == replace(PRESETS["hpez"], fvfi=False)
+    assert "hpez-nofvfi" not in codecs.ALL_CODECS
 
 
 def _edit(m, edits):
@@ -255,6 +258,10 @@ def _damaged(outer=None, meta=None, inner=None):
         (None, None, {"cfg": None}, "no meta key 'cfg'"),
         (None, None, {"e": None}, "no meta key 'e'"),
         (None, None, {"cfg": {"alpha": None}}, "no meta key 'alpha'"),
+        (None, None, {"shape": "ab"}, "meta key 'shape' is not list"),
+        (None, None, {"cfg": {"alpha": "x"}}, "meta key 'alpha' is not float"),
+        (None, None, {"cfg": {"level_configs": 3}}, "meta key 'level_configs' is not list"),
+        (None, None, {"cfg": {"fvfi": "no"}}, "meta key 'fvfi' is not bool"),
     ],
     ids=[
         "unknown-tag",
@@ -266,11 +273,91 @@ def _damaged(outer=None, meta=None, inner=None):
         "no-cfg",
         "no-e",
         "no-alpha",
+        "str-shape",
+        "str-alpha",
+        "int-level-configs",
+        "str-fvfi",
     ],
 )
 def test_damaged_dispatch_raises_value_error(outer, meta, inner, match):
-    """A blob whose dispatch data or meta is damaged raises
-    ``ValueError``, the error every other damage check raises, not
-    ``KeyError``."""
+    """A blob whose dispatch data or meta is damaged (a key missing, a
+    value of the wrong type) raises ``ValueError``, the error every other
+    damage check raises, not ``KeyError`` or ``TypeError``."""
     with pytest.raises(ValueError, match=match):
         codecs.decompress(_damaged(outer, meta, inner))
+
+
+#: sections that hold a nested container
+_NESTED = ("payload", "inner")
+
+
+def _key_paths(obj, path=()):
+    """The path to every key of every JSON object in ``obj``."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield path + (k,)
+            yield from _key_paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _key_paths(v, path + (i,))
+
+
+def _meta_keys(blob, sections=()):
+    """``(sections, key path)`` of every key of every JSON meta, at every
+    container level of ``blob``."""
+    for name, data in container.unpack(blob).items():
+        if name == "meta":
+            for keys in _key_paths(container.from_json(data)):
+                yield sections + (name,), keys
+        elif name in _NESTED:
+            yield from _meta_keys(data, sections + (name,))
+
+
+def _edit_at(blob, sections, edit):
+    """``blob`` with ``edit`` applied to the meta object at ``sections``."""
+    sec = container.unpack(blob)
+    name, *rest = sections
+    if rest:
+        sec[name] = _edit_at(sec[name], rest, edit)
+    else:
+        meta = container.from_json(sec[name])
+        edit(meta)
+        sec[name] = container.json_section(meta)
+    return container.pack(list(sec.items()))
+
+
+def _drop(keys):
+    def edit(meta):
+        for k in keys[:-1]:
+            meta = meta[k]
+        del meta[keys[-1]]
+
+    return edit
+
+
+#: every registered codec on one field, plus the legs Miranda does not
+#: reach: Lorenzo (APS) and FAZ's wavelet leg (RTM)
+_META_CASES = [(c, "Miranda") for c in codecs.ALL_CODECS + ("hpez-nofvfi",)] + [
+    ("hpez", "APS"),
+    ("faz", "RTM"),
+]
+
+
+@pytest.mark.parametrize("codec,dataset", _META_CASES)
+def test_every_meta_key_is_read(codec, dataset):
+    """A payload holds no fact its decoder does not read: deleting any
+    key of any JSON meta, at any container level, makes the decode raise
+    ``ValueError``."""
+    blob = codecs.compress(codec, generate(dataset, "test"), 1e-3)
+    keys = list(_meta_keys(blob))
+    assert keys
+    for sections, key in keys:
+        with pytest.raises(ValueError):
+            codecs.decompress(_edit_at(blob, sections, _drop(key)))
+
+
+def test_zfp_rejects_other_frac_bits():
+    blob = codecs.compress("zfp", generate("Miranda", "test"), 1e-3)
+    bad = _edit_at(blob, ("payload", "meta"), lambda m: m.update(frac_bits=39))
+    with pytest.raises(ValueError, match="frac_bits=39"):
+        codecs.decompress(bad)

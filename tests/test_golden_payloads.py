@@ -6,7 +6,7 @@ of every payload and of its decompressed array:
 * all seven codecs on the eight ``TEST_SHAPES`` fields at eps = 1e-3
   (keys ``codec/<codec>/<dataset>``), 1e-2 and 1e-4 (keys
   ``codec/<codec>/<dataset>/eps<eps>``);
-* HPEZ with ``fvfi=False`` through the full tuner;
+* the ``hpez-nofvfi`` preset (Table 6) through the full tuner;
 * sz3, qoz, hpez and faz on one 1-D input, the first 20000 points of
   Miranda (keys ``codec/<codec>/Miranda-1d``);
 * ``interp.compress`` over an engine-config grid: 1–4-D shapes × ``1d``/
@@ -115,17 +115,17 @@ def _engine_cases() -> dict[str, tuple[np.ndarray, float, EngineConfig]]:
 def golden_hashes() -> dict[str, str]:
     """sha256 of every golden payload and decompressed array, by case."""
     out = {ZSTD_KEY: lossless.VERSION, BLAS_KEY: blas_fingerprint()}
-    runs: list[tuple[str, np.ndarray, str, float, dict]] = [
-        (f"codec/{c}/{d}" + ("" if eps == 1e-3 else f"/eps{eps:g}"), generate(d), c, eps, {})
+    runs: list[tuple[str, np.ndarray, str, float]] = [
+        (f"codec/{c}/{d}" + ("" if eps == 1e-3 else f"/eps{eps:g}"), generate(d), c, eps)
         for eps in (1e-3,) + CODEC_EPS
         for c in codecs.ALL_CODECS
         for d in TEST_SHAPES
     ]
-    runs.append(("codec/hpez-nofvfi/Miranda", generate("Miranda"), "hpez", 1e-3, {"fvfi": False}))
+    runs.append(("codec/hpez-nofvfi/Miranda", generate("Miranda"), "hpez-nofvfi", 1e-3))
     line = generate("Miranda").ravel()[:20000]
-    runs += [(f"codec/{c}/Miranda-1d", line, c, 1e-3, {}) for c in ONE_D_CODECS]
-    for name, data, codec, eps, kw in runs:
-        blob = codecs.compress(codec, data, eps, **kw)
+    runs += [(f"codec/{c}/Miranda-1d", line, c, 1e-3) for c in ONE_D_CODECS]
+    for name, data, codec, eps in runs:
+        blob = codecs.compress(codec, data, eps)
         out[name + "/payload"] = _sha(blob)
         out[name + "/decoded"] = _sha(codecs.decompress(blob))
     return out | _engine_hashes()

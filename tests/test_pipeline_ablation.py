@@ -22,7 +22,7 @@ _SWITCHES = {
 
 
 def _hpez(**changes) -> PredictionCodec:
-    return PredictionCodec("hpez", replace(PRESETS["hpez"], **changes))
+    return PredictionCodec(replace(PRESETS["hpez"], **changes))
 
 
 @pytest.mark.parametrize("switch", _SWITCHES)
