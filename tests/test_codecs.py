@@ -224,24 +224,31 @@ def _edit(m, edits):
     return m
 
 
-def _edit_meta(sections, edits):
-    if edits is not None:
-        m = _edit(container.from_json(sections["meta"]), edits)
-        sections["meta"] = container.json_section(m)
+def _edit_at(blob, sections, edit):
+    """``blob`` with ``edit`` applied to the meta object at ``sections``."""
+    sec = container.unpack(blob)
+    name, *rest = sections
+    if rest:
+        sec[name] = _edit_at(sec[name], rest, edit)
+    else:
+        meta = container.from_json(sec[name])
+        edit(meta)
+        sec[name] = container.json_section(meta)
+    return container.pack(list(sec.items()))
 
 
 def _damaged(outer=None, meta=None, inner=None):
     """A hand-packed hpez blob: ``outer`` replaces dispatch sections,
     ``meta`` edits the prediction meta and ``inner`` the interpolation
     meta (``None`` values drop a key)."""
-    data = generate("Miranda", "test")
-    sec = container.unpack(codecs.compress("hpez", data, 1e-2))
-    payload = container.unpack(sec["payload"])
-    _edit_meta(payload, meta)
-    interp_payload = container.unpack(payload["inner"])
-    _edit_meta(interp_payload, inner)
-    payload["inner"] = container.pack(list(interp_payload.items()))
-    sec["payload"] = container.pack(list(payload.items()))
+    blob = codecs.compress("hpez", generate("Miranda", "test"), 1e-2)
+    for sections, edits in (
+        (("payload", "meta"), meta),
+        (("payload", "inner", "meta"), inner),
+    ):
+        if edits is not None:
+            blob = _edit_at(blob, sections, lambda m: _edit(m, edits))
+    sec = container.unpack(blob)
     sec |= outer or {}
     return container.pack([(k, v) for k, v in sec.items() if v is not None])
 
@@ -311,19 +318,6 @@ def _meta_keys(blob, sections=()):
                 yield sections + (name,), keys
         elif name in _NESTED:
             yield from _meta_keys(data, sections + (name,))
-
-
-def _edit_at(blob, sections, edit):
-    """``blob`` with ``edit`` applied to the meta object at ``sections``."""
-    sec = container.unpack(blob)
-    name, *rest = sections
-    if rest:
-        sec[name] = _edit_at(sec[name], rest, edit)
-    else:
-        meta = container.from_json(sec[name])
-        edit(meta)
-        sec[name] = container.json_section(meta)
-    return container.pack(list(sec.items()))
 
 
 def _drop(keys):
