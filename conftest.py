@@ -1,11 +1,13 @@
 import os
 import sys
 
-# tthresh's payloads round through OpenBLAS, which picks its kernel per CPU;
-# the golden fixture (tests/test_golden_payloads.py) is made with this one,
-# which runs on any x86-64 CPU. OpenBLAS reads it when NumPy loads, so it is
-# set before anything imports NumPy.
+# tthresh's payloads round through OpenBLAS, which picks its kernel per CPU
+# and splits its work over one thread per core by default; both change the
+# rounding. The golden fixture (tests/test_golden_payloads.py) is made with
+# this kernel, which runs on any x86-64 CPU, on one thread. OpenBLAS reads
+# both when NumPy loads, so they are set before anything imports NumPy.
 os.environ["OPENBLAS_CORETYPE"] = "Prescott"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def _driver_mem() -> str:

@@ -22,12 +22,13 @@ The hashes depend on the libzstd build's output; the fixture records the
 libzstd version (``ZSTD_versionNumber``) it was made with, and a different
 libzstd fails the test before any hash is compared.
 
-tthresh's hashes also depend on the BLAS kernel: its Gram products,
-``eigh`` and ``tensordot`` run through OpenBLAS, which picks a kernel per
-CPU, and kernels round differently. The kernel is pinned to
-``OPENBLAS_CORETYPE=Prescott`` (it runs on any x86-64 CPU) before NumPy
-loads: by ``conftest.py`` under pytest, and at the top of this module when
-it regenerates the fixture. The fixture records a fingerprint of those
+tthresh's hashes also depend on the BLAS kernel and thread count: its
+Gram products, ``eigh`` and ``tensordot`` run through OpenBLAS, which picks
+a kernel per CPU and a thread per core, and each rounds differently. Both
+are pinned, to ``OPENBLAS_CORETYPE=Prescott`` (it runs on any x86-64 CPU)
+and ``OPENBLAS_NUM_THREADS=1``, before NumPy loads: by ``conftest.py``
+under pytest, and at the top of this module when it regenerates the
+fixture. The fixture records a fingerprint of those
 three BLAS calls (:func:`blas_fingerprint`), and a different one fails the
 test before any hash is compared.
 """
@@ -38,6 +39,7 @@ import os
 if __name__ == "__main__":
     # read by OpenBLAS when NumPy loads; conftest.py sets the same
     os.environ["OPENBLAS_CORETYPE"] = "Prescott"
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
