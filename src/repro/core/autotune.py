@@ -201,14 +201,14 @@ def tune_global_interp(
     def mk_cfg(c: InterpConfig) -> EngineConfig:
         return replace(base, level_configs=(c,), block_cfg=None, fvfi=True)
 
-    chosen: list[InterpConfig | None] = [None] * m
+    chosen: list[InterpConfig] = []  # levels m..1
     for level in range(m, 0, -1):
         if level > N_TUNED_LEVELS:
             # Levels above the tuned range hold <2 % of the points and a
             # 32^d sample gives only a handful of codes there — scoring is
             # coder-overhead noise and a bad pick cascades down. Use the
             # reference config (SZ3's default interpolation).
-            chosen[level - 1] = ref
+            chosen.append(ref)
             for a in states:
                 interp.encode_walk(a, e, mk_cfg(ref), (level,))
             continue
@@ -250,40 +250,39 @@ def tune_global_interp(
             if best is None or score < best[0] * margin:
                 best = (score, c, trial)
         assert best is not None
-        chosen[level - 1] = best[1]
+        chosen.append(best[1])
         states = best[2]
-    return tuple(c for c in chosen if c is not None)
+    return tuple(reversed(chosen))
 
 
 # ---------------------------------------------------------------------------
 # crop compression tests (§6.3, §6.4, §6.5 share this)
 # ---------------------------------------------------------------------------
 def _crop_test(
-    blocks: list[np.ndarray], e: float, cfg: EngineConfig
+    blocks: list[np.ndarray], e: float, cfg: EngineConfig, target: str
 ) -> tuple[int, float]:
-    """Sum of compressed bytes and size-weighted mean PSNR over blocks,
-    each crop compressed in its own dtype as the payload stores it."""
+    """Compressed bytes of the crops ``blocks``, each compressed in its
+    own dtype as the payload stores it, and their score under ``target``
+    (higher is better): the compression ratio for ``"cr"``, and
+    ``PSNR + 3*log2(CR)`` for ``"psnr"`` (the PSNR of the size-weighted
+    mean squared error over the largest crop value range)."""
     total = 0
     sse = 0.0
-    count = 0
     rng = 0.0
     for crop in blocks:
         payload, recon = interp.compress(crop, e, cfg)
         total += len(payload)
-        sse += metrics.mse(crop, recon) * crop.size
-        count += crop.size
-        rng = max(rng, metrics.value_range(crop))
+        if target == "psnr":
+            sse += metrics.mse(crop, recon) * crop.size
+            rng = max(rng, metrics.value_range(crop))
+    cr = sum(b.nbytes for b in blocks) / max(total, 1)
+    if target != "psnr":
+        return total, cr
     if rng == 0 or sse == 0:
         return total, float("inf")
+    count = sum(b.size for b in blocks)
     p = float(20.0 * np.log10(rng) - 10.0 * np.log10(sse / count))
-    return total, p
-
-
-def _score(nbytes: int, psnr: float, crop_bytes: int, target: str) -> float:
-    cr = crop_bytes / max(nbytes, 1)
-    if target == "psnr":
-        return psnr + 3.0 * np.log2(max(cr, 1e-9))
-    return cr
+    return total, p + 3.0 * np.log2(max(cr, 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def tune_blocks(
             sel.append(slice(s0, s0 + w))
         bshape = tuple(sl.stop - sl.start for sl in sel)
         groups.setdefault(bshape, []).append((bidx, tuple(sel)))
-    gi = opts.splines.index(global_spline) if global_spline in opts.splines else 0
+    gi = opts.splines.index(global_spline)
     for bshape, members in groups.items():
         stack = np.stack([data[sel] for _, sel in members]).astype(np.float64)
         # Cost proxy per block and spline: codes the quantizer would emit
@@ -367,18 +366,16 @@ def tune_blocks(
 
 
 def _validate_blockcfg(data: np.ndarray, e: float, cfg: EngineConfig) -> bool:
-    """End-to-end check of a proposed block map (§6.6): compress a
-    block-aligned crop around an overridden region with and without the
-    map; keep it only if the payload actually shrinks. The stride-1
-    sub-block probe is optimistic on clean data, and the lossless stage
-    is sensitive to mixed code distributions (DESIGN.md §2)."""
+    """End-to-end check of a proposed block map (§6.6), which overrides
+    the level-1 spline somewhere: compress a block-aligned crop around
+    the first overridden block with and without the map; keep it only if
+    the payload actually shrinks. The stride-1 sub-block probe is
+    optimistic on clean data, and the lossless stage is sensitive to
+    mixed code distributions (DESIGN.md §2)."""
     assert cfg.block_cfg is not None
     B = interp.BLOCK
     gid = SPLINE_CHOICES.index(cfg.level_configs[0].spline)
-    overridden = np.argwhere(cfg.block_cfg != gid)
-    if overridden.size == 0:
-        return False
-    bidx = overridden[0]
+    bidx = np.argwhere(cfg.block_cfg != gid)[0]
     sel = []
     bsel = []
     for ax, bi in enumerate(bidx):
@@ -404,20 +401,18 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
     sigma2 = axis_interp_mse(data)
     probe_blocks = sample_blocks(data, CROP_TARGET, k=2)
     blocks = sample_blocks(data, TEST_TARGET)
-    crop_bytes = sum(b.size for b in blocks) * np.asarray(data).dtype.itemsize
+
+    def crop_test(trial: EngineConfig) -> tuple[float, int, EngineConfig]:
+        nbytes, score = _crop_test(blocks, e, trial, opts.target)
+        return score, nbytes, trial
 
     def keep_best(
         best: tuple[float, int, EngineConfig], challengers: list[EngineConfig]
     ) -> tuple[float, int, EngineConfig]:
         """Crop-test each challenger in order (§6.3, §6.4); one replaces
         the incumbent ``(score, bytes, cfg)`` only when it scores
-        strictly higher."""
-        for trial in challengers:
-            nbytes, psnr = _crop_test(blocks, e, trial)
-            score = _score(nbytes, psnr, crop_bytes, opts.target)
-            if score > best[0]:
-                best = (score, nbytes, trial)
-        return best
+        strictly higher (``max`` keeps the first of equal scores)."""
+        return max([best, *map(crop_test, challengers)], key=lambda t: t[0])
 
     cfg = EngineConfig(
         anchor_stride=opts.anchor_stride,
@@ -425,8 +420,7 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
         fvfi=opts.fvfi,
     )
     cfg = replace(cfg, level_configs=tune_global_interp(probe_blocks, opts, cfg, e))
-    nbytes, psnr = _crop_test(blocks, e, cfg)
-    best = (_score(nbytes, psnr, crop_bytes, opts.target), nbytes, cfg)
+    best = crop_test(cfg)
 
     # §6.3 dynamic dimension freezing
     if opts.dim_freeze and data.ndim >= 2:

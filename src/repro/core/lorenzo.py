@@ -60,16 +60,12 @@ def compress(data: np.ndarray, e: float) -> bytes:
     under = (a - 2.0 * e * u) < -e
     if under.any():
         u[under] -= 1
-    best: tuple[int, bytes] | None = None
-    for order in (1, 2):
-        blob = codes_mod.encode(_forward(u, order).ravel(), center=0)
-        if best is None or len(blob) < len(best[1]):
-            best = (order, blob)
-    assert best is not None
-    order, blob = best
+    blobs = {o: codes_mod.encode(_forward(u, o).ravel(), center=0) for o in (1, 2)}
+    # the smaller stream; order 1 on a tie
+    order = min(blobs, key=lambda o: len(blobs[o]))
     meta = {"shape": list(a.shape), "e": e, "order": order}
     return container.pack(
-        [("meta", container.json_section(meta)), ("codes", blob)]
+        [("meta", container.json_section(meta)), ("codes", blobs[order])]
     )
 
 

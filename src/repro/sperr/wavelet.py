@@ -29,7 +29,6 @@ def _sym(i: np.ndarray, n: int) -> np.ndarray:
 def _lift_pair(even: np.ndarray, odd: np.ndarray, coef: float, to_odd: bool) -> None:
     """odd += coef*(left_even + right_even) or the even-update mirror."""
     if to_odd:
-        left = even
         ne = even.shape[-1]
         no = odd.shape[-1]
         right_idx = _sym(np.arange(no) + 1, ne)
@@ -79,35 +78,35 @@ def _inv_1d(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _corners(shape: tuple[int, ...], levels: int) -> list[tuple[int, ...]]:
+    """Shape of the approximation corner each of up to ``levels`` levels
+    transforms, finest level first; a corner with an axis shorter than 2
+    ends the list."""
+    out = []
+    cur = tuple(shape)
+    while len(out) < levels and min(cur) >= 2:
+        out.append(cur)
+        cur = tuple((c + 1) // 2 for c in cur)
+    return out
+
+
 def forward(a: np.ndarray, levels: int) -> np.ndarray:
     """Multi-level n-d 9/7 transform (separable, level-by-level on the
     shrinking approximation corner)."""
     out = a.astype(np.float64).copy()
-    shape = list(a.shape)
-    cur = list(shape)
-    for _ in range(levels):
-        if min(cur) < 2:
-            break
+    for cur in _corners(a.shape, levels):
         region = tuple(slice(0, c) for c in cur)
         sub = out[region]
         for ax in range(a.ndim):
             sub = np.moveaxis(_fwd_1d(np.moveaxis(sub, ax, -1)), -1, ax)
         out[region] = sub
-        cur = [(c + 1) // 2 for c in cur]
     return out
 
 
 def inverse(a: np.ndarray, levels: int) -> np.ndarray:
     """Invert :func:`forward` with the same level count."""
     out = a.astype(np.float64).copy()
-    sizes = []
-    cur = list(a.shape)
-    for _ in range(levels):
-        if min(cur) < 2:
-            break
-        sizes.append(list(cur))
-        cur = [(c + 1) // 2 for c in cur]
-    for cur in reversed(sizes):
+    for cur in reversed(_corners(a.shape, levels)):
         region = tuple(slice(0, c) for c in cur)
         sub = out[region]
         for ax in range(a.ndim - 1, -1, -1):

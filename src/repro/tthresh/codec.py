@@ -36,19 +36,11 @@ def _mode_factors(a: np.ndarray) -> list[np.ndarray]:
     return factors
 
 
-def _tucker_core(a: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    c = a
-    for d, u in enumerate(factors):
-        c = np.moveaxis(
-            np.tensordot(u.T, np.moveaxis(c, d, 0), axes=1), 0, d
-        )
-    return c
-
-
-def _tucker_compose(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    x = core
-    for d, u in enumerate(factors):
-        x = np.moveaxis(np.tensordot(u, np.moveaxis(x, d, 0), axes=1), 0, d)
+def _mode_products(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    """``x ×_1 mats[0] ×_2 mats[1] ...``: the core is ``_mode_products(a,
+    [u.T for u in factors])``, and the factors compose it back."""
+    for d, m in enumerate(mats):
+        x = np.moveaxis(np.tensordot(m, np.moveaxis(x, d, 0), axes=1), 0, d)
     return x
 
 
@@ -56,13 +48,13 @@ def compress(data: np.ndarray, e: float) -> bytes:
     """Compress under absolute error bound ``e``."""
     a = np.asarray(data, dtype=np.float64)
     factors = _mode_factors(a)
-    core = _tucker_core(a, factors)
+    core = _mode_products(a, [u.T for u in factors])
     # The decoder composes with the *stored* (float32) factors; use the
     # same ones in-loop so the correction list matches bit-for-bit.
     fac32 = [f.astype(np.float32) for f in factors]
     factors = [f.astype(np.float64) for f in fac32]
     step, q, recon = corrections.search_step(
-        a, e, core, lambda c: _tucker_compose(c, factors), shrink=0.4
+        a, e, core, lambda c: _mode_products(c, factors), shrink=0.4
     )
     meta = {"shape": list(a.shape), "e": e, "step": step}
     sections = [
@@ -86,5 +78,5 @@ def decompress(blob: bytes) -> np.ndarray:
         for d in range(nd)
     ]
     q = codes_mod.decode(sec["codes"]).reshape(shape)
-    recon = _tucker_compose(2.0 * step * q.astype(np.float64), factors)
+    recon = _mode_products(2.0 * step * q.astype(np.float64), factors)
     return corrections.apply(recon, sec, e)

@@ -31,6 +31,8 @@ than this module's raises ``ValueError``.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from ..core import container, corrections, lossless
@@ -87,6 +89,20 @@ def _coef_classes(nd: int) -> np.ndarray:
     every coefficient."""
     idx = np.indices((_BLOCK,) * nd).reshape(nd, -1)
     return idx.sum(axis=0).astype(np.int64)
+
+
+def _groups(widths: np.ndarray, nd: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """The ``(rows, cols, width)`` groups of the ``bits`` section in
+    stream order: for each degree class, the blocks ``rows`` whose
+    coefficients ``cols`` of that class are packed ``width`` bits wide,
+    by increasing nonzero width (width 0 packs nothing)."""
+    cls = _coef_classes(nd)
+    for c in range(int(cls.max()) + 1):
+        cols = np.flatnonzero(cls == c)
+        wc = widths[:, c]
+        for wv in np.unique(wc):
+            if wv:
+                yield np.flatnonzero(wc == wv), cols, int(wv)
 
 
 def _padded(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -149,33 +165,23 @@ def compress(data: np.ndarray, e: float) -> bytes:
         _fwd_lift(ints, ax)
     q = np.rint(ints / step).astype(np.int64)
     # per-(block, degree-class) fixed-width packing
-    bsz = _BLOCK**nd
-    qf = q.reshape(-1, bsz)
+    qf = q.reshape(-1, _BLOCK**nd)
     cls = _coef_classes(nd)
-    nclasses = int(cls.max()) + 1
-    nblocks = qf.shape[0]
-    widths = np.zeros((nblocks, nclasses), dtype=np.uint8)
-    for c in range(nclasses):
+    widths = np.zeros((qf.shape[0], int(cls.max()) + 1), dtype=np.uint8)
+    for c in range(widths.shape[1]):
         sub = np.abs(qf[:, cls == c]).max(axis=1)
         nzc = sub > 0
         widths[nzc, c] = (
             np.floor(np.log2(sub[nzc])).astype(np.int64) + 2
         ).astype(np.uint8)
     payload_parts: list[bytes] = []
-    for c in range(nclasses):
-        cols = np.flatnonzero(cls == c)
-        wc = widths[:, c]
-        for wv in np.unique(wc):
-            if wv == 0:
-                continue
-            rows = wc == wv
-            grp = qf[np.ix_(rows, cols)]
-            offset = np.int64(1) << np.int64(int(wv) - 1)
-            flat = (grp + offset).astype(np.uint64).ravel()
-            bits = np.zeros((flat.size, int(wv)), dtype=np.uint8)
-            for b in range(int(wv)):
-                bits[:, b] = (flat >> np.uint64(int(wv) - 1 - b)) & np.uint64(1)
-            payload_parts.append(np.packbits(bits.ravel()).tobytes())
+    for rows, cols, wv in _groups(widths, nd):
+        offset = np.int64(1) << np.int64(wv - 1)
+        flat = (qf[np.ix_(rows, cols)] + offset).astype(np.uint64).ravel()
+        bits = np.zeros((flat.size, wv), dtype=np.uint8)
+        for b in range(wv):
+            bits[:, b] = (flat >> np.uint64(wv - 1 - b)) & np.uint64(1)
+        payload_parts.append(np.packbits(bits.ravel()).tobytes())
     meta = {"shape": list(a.shape), "e": e, "frac_bits": _FRAC_BITS}
     sections = [
         ("meta", container.json_section(meta)),
@@ -215,35 +221,24 @@ def decompress(blob: bytes) -> np.ndarray:
     e = float(container.typed(meta, "e", float))
     emax = container.to_array(lossless.decompress(sec["emax"]))
     widths = container.to_array(lossless.decompress(sec["widths"]))
-    nblocks = emax.size
-    bsz = _BLOCK**nd
-    cls = _coef_classes(nd)
-    nclasses = int(cls.max()) + 1
-    qf = np.zeros((nblocks, bsz), dtype=np.int64)
+    qf = np.zeros((emax.size, _BLOCK**nd), dtype=np.int64)
     raw = sec["bits"]
     boff = 0
-    for c in range(nclasses):
-        cols = np.flatnonzero(cls == c)
-        wc = widths[:, c]
-        for wv in np.unique(wc):
-            if wv == 0:
-                continue
-            rows = np.flatnonzero(wc == wv)
-            nvals = rows.size * cols.size
-            nbits = nvals * int(wv)
-            nbytes = (nbits + 7) // 8
-            bits = np.unpackbits(
-                np.frombuffer(raw, dtype=np.uint8, count=nbytes, offset=boff),
-                count=nbits,
-            ).reshape(nvals, int(wv))
-            boff += nbytes
-            u = np.zeros(nvals, dtype=np.uint64)
-            for b in range(int(wv)):
-                u = (u << np.uint64(1)) | bits[:, b].astype(np.uint64)
-            offset = np.int64(1) << np.int64(int(wv) - 1)
-            qf[np.ix_(rows, cols)] = (u.astype(np.int64) - offset).reshape(
-                rows.size, cols.size
-            )
-    q = qf.reshape((nblocks,) + (_BLOCK,) * nd)
+    for rows, cols, wv in _groups(widths, nd):
+        nvals = rows.size * cols.size
+        nbytes = (nvals * wv + 7) // 8
+        bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8, count=nbytes, offset=boff),
+            count=nvals * wv,
+        ).reshape(nvals, wv)
+        boff += nbytes
+        u = np.zeros(nvals, dtype=np.uint64)
+        for b in range(wv):
+            u = (u << np.uint64(1)) | bits[:, b].astype(np.uint64)
+        offset = np.int64(1) << np.int64(wv - 1)
+        qf[np.ix_(rows, cols)] = (u.astype(np.int64) - offset).reshape(
+            rows.size, cols.size
+        )
+    q = qf.reshape((-1,) + (_BLOCK,) * nd)
     recon = _reconstruct(q, *_scale_step(emax, e, nd), shape)
     return corrections.apply(recon, sec, e)

@@ -179,7 +179,7 @@ def test_lorenzo_test_stops_once_lost(monkeypatch):
     # full evaluation: every block encoded, against the tuned crop size
     ref = autotune.tune(f, e, TuneOptions(lorenzo=False))
     crop_cfg = replace(ref.cfg, block_cfg=None)
-    best_bytes, _ = autotune._crop_test(blocks, e, crop_cfg)
+    best_bytes, _ = autotune._crop_test(blocks, e, crop_cfg, "cr")
     full = sum(len(orig(b, e)) for b in blocks)
     assert full * autotune.LORENZO_COEF >= best_bytes
     assert not res.use_lorenzo
@@ -285,5 +285,25 @@ def test_crop_test_scores_the_crop_in_its_own_dtype():
     crop = _smooth((24, 24, 20)).astype(np.float64) + 1e-6 * rng.standard_normal((24, 24, 20))
     e = 1e-5
     cfg = interp.EngineConfig()
-    nbytes, _ = autotune._crop_test([crop], e, cfg)
+    nbytes, _ = autotune._crop_test([crop], e, cfg, "cr")
     assert nbytes == len(interp.compress(crop, e, cfg)[0])
+
+
+def test_crop_test_scores_each_target():
+    """One crop test returns the crops' bytes and the target's score:
+    the compression ratio for ``"cr"``, and ``PSNR + 3*log2(CR)`` over
+    all crops for ``"psnr"``."""
+    crops = [_smooth((24, 20, 16)), 3.0 * _smooth((16, 24, 20), seed=2)]
+    e = 1e-3
+    cfg = interp.EngineConfig()
+    nbytes, cr = autotune._crop_test(crops, e, cfg, "cr")
+    assert nbytes == sum(len(interp.compress(c, e, cfg)[0]) for c in crops)
+    assert cr == sum(c.nbytes for c in crops) / nbytes
+    recon = [interp.compress(c, e, cfg)[1] for c in crops]
+    err = np.concatenate([(c - r).ravel() for c, r in zip(crops, recon)])
+    rng = max(float(c.max()) - float(c.min()) for c in crops)
+    psnr = 20.0 * np.log10(rng) - 10.0 * np.log10(np.mean(err**2))
+    assert autotune._crop_test(crops, e, cfg, "psnr") == (
+        nbytes,
+        pytest.approx(psnr + 3.0 * np.log2(cr)),
+    )

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro import tthresh
-from repro.tthresh.codec import _mode_factors, _tucker_compose, _tucker_core
+from repro.tthresh.codec import _mode_factors, _mode_products
 
 
 def test_factors_orthonormal():
@@ -17,8 +17,8 @@ def test_core_compose_identity():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((6, 7, 8))
     factors = _mode_factors(a)
-    core = _tucker_core(a, factors)
-    back = _tucker_compose(core, factors)
+    core = _mode_products(a, [u.T for u in factors])
+    back = _mode_products(core, factors)
     np.testing.assert_allclose(back, a, atol=1e-8)
 
 
@@ -27,7 +27,7 @@ def test_core_energy_concentrates():
     x = np.linspace(0, 1, 32)
     a = np.outer(x, x).reshape(32, 32, 1) * np.ones((1, 1, 16))
     factors = _mode_factors(a)
-    core = _tucker_core(a, factors)
+    core = _mode_products(a, [u.T for u in factors])
     total = (core**2).sum()
     corner = (core[:2, :2, :2] ** 2).sum()
     assert corner > 0.99 * total
