@@ -8,14 +8,15 @@ data; small config dicts are serialized as UTF-8 JSON sections).
 A JSON meta section holds each fact its decoder needs once, and nothing
 the decoder does not read or can work out from the rest; its decoder
 reads every value through :func:`typed` / :func:`typed_tuple`, so a
-missing key or a value of the wrong type raises ``ValueError``.
+missing key, a value of the wrong type or a value the encoder never
+writes raises ``ValueError``.
 """
 from __future__ import annotations
 
 import json
 import math
 import struct
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -97,19 +98,41 @@ def _checked(value: Any, kind: type, key: str) -> Any:
     raise ValueError(f"{_CORRUPT}: meta key {key!r} is not {kind.__name__}: {value!r}")
 
 
-def typed(meta: dict, key: str, kind: type) -> Any:
+def _valid(value: Any, ok: Callable[[Any], bool] | None, key: str) -> Any:
+    if ok is None or ok(value):
+        return value
+    raise ValueError(f"{_CORRUPT}: meta key {key!r} holds a wrong value: {value!r}")
+
+
+def typed(
+    meta: dict, key: str, kind: type, ok: Callable[[Any], bool] | None = None
+) -> Any:
     """``meta[key]`` if it holds a JSON ``kind`` (``float`` also takes an
-    int); any other value raises ``ValueError("corrupt container ...")``."""
-    return _checked(meta[key], kind, key)
+    int) for which ``ok`` holds; any other value raises
+    ``ValueError("corrupt container ...")``."""
+    return _valid(_checked(meta[key], kind, key), ok, key)
 
 
-def typed_tuple(meta: dict, key: str, kind: type, nullable: bool = False) -> tuple | None:
+def typed_tuple(
+    meta: dict,
+    key: str,
+    kind: type,
+    nullable: bool = False,
+    ok: Callable[[tuple], bool] | None = None,
+) -> tuple | None:
     """``meta[key]``, a JSON list of ``kind`` values (see :func:`typed`),
-    as a tuple; ``None`` stays ``None`` if ``nullable``."""
+    as a tuple for which ``ok`` holds; ``None`` stays ``None`` if
+    ``nullable``."""
     value = meta[key]
     if value is None and nullable:
         return None
-    return tuple(_checked(v, kind, key) for v in _checked(value, list, key))
+    items = tuple(_checked(v, kind, key) for v in _checked(value, list, key))
+    return _valid(items, ok, key)
+
+
+def positive(v: float) -> bool:
+    """An error bound or a quantization step: finite and > 0."""
+    return 0 < v < math.inf
 
 
 def array_section(a: np.ndarray) -> bytes:

@@ -82,6 +82,11 @@ PLAN_CACHE = 256
 BLOCK = 32
 
 
+def _eb_factor(v: float) -> bool:
+    """Eq. 15's ``alpha`` and ``beta``: finite and >= 1."""
+    return 1 <= v < math.inf
+
+
 @dataclass(frozen=True)
 class InterpConfig:
     """Per-level interpolation configuration (§6.2 selection targets)."""
@@ -102,8 +107,8 @@ class InterpConfig:
     @staticmethod
     def from_dict(d: dict) -> "InterpConfig":
         return InterpConfig(
-            paradigm=container.typed(d, "paradigm", str),
-            spline=container.typed(d, "spline", str),
+            paradigm=container.typed(d, "paradigm", str, lambda v: v in ("1d", "md")),
+            spline=container.typed(d, "spline", str, lambda v: v in splines.SPLINE_CHOICES),
             same_level=container.typed(d, "same_level", bool),
             dim_order=container.typed_tuple(d, "dim_order", int, nullable=True) or None,
         )
@@ -145,13 +150,17 @@ class EngineConfig:
                 f"radius={d['radius']!r} (expected {BLOCK}, {RADIUS})"
             )
         return EngineConfig(
-            anchor_stride=container.typed(d, "anchor_stride", int),
+            anchor_stride=container.typed(
+                d, "anchor_stride", int, lambda v: v >= 2 and v & (v - 1) == 0
+            ),
             level_configs=tuple(
                 InterpConfig.from_dict(c)
-                for c in container.typed_tuple(d, "level_configs", dict)
+                for c in container.typed_tuple(
+                    d, "level_configs", dict, ok=lambda t: len(t) > 0
+                )
             ),
-            alpha=container.typed(d, "alpha", float),
-            beta=container.typed(d, "beta", float),
+            alpha=container.typed(d, "alpha", float, _eb_factor),
+            beta=container.typed(d, "beta", float, _eb_factor),
             frozen_axes=container.typed_tuple(d, "frozen_axes", int),
             md_sigma2=container.typed_tuple(d, "md_sigma2", float, nullable=True) or None,
             block_cfg=block_cfg,
@@ -476,6 +485,28 @@ def compress(
     return container.pack(sections), a
 
 
+def _check_axes(cfg: EngineConfig, shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError("corrupt container ...")`` unless ``cfg`` names
+    the axes of ``shape`` as :func:`compress` writes them: distinct frozen
+    axes, one ``md_sigma2`` per axis, and each dim order a permutation of
+    the active axes."""
+    active = sorted(_active_axes(shape, cfg.frozen_axes))
+    fits = {
+        "frozen_axes": len(set(cfg.frozen_axes)) == len(cfg.frozen_axes)
+        and set(cfg.frozen_axes) <= set(range(len(shape))),
+        "md_sigma2": cfg.md_sigma2 is None or len(cfg.md_sigma2) == len(shape),
+        "dim_order": all(
+            c.dim_order is None or sorted(c.dim_order) == active
+            for c in cfg.level_configs
+        ),
+    }
+    for key, ok in fits.items():
+        if not ok:
+            raise ValueError(
+                f"corrupt container: meta key {key!r} does not fit shape {shape}"
+            )
+
+
 def decompress(payload: bytes) -> np.ndarray:
     """Invert :func:`compress`; returns float64 reconstruction."""
     sec = container.unpack(payload)
@@ -485,7 +516,8 @@ def decompress(payload: bytes) -> np.ndarray:
         block_cfg = container.to_array(lossless.decompress(sec["blockcfg"]))
     cfg = EngineConfig.from_dict(container.typed(meta, "cfg", dict), block_cfg)
     shape = container.typed_tuple(meta, "shape", int)
-    e = float(container.typed(meta, "e", float))
+    _check_axes(cfg, shape)
+    e = float(container.typed(meta, "e", float, container.positive))
     codes = codes_mod.decode(sec["codes"])
     if "literals" in sec:
         lits = container.to_array(lossless.decompress(sec["literals"])).astype(

@@ -74,5 +74,6 @@ def decompress(payload: bytes) -> np.ndarray:
     meta = container.from_json(sec["meta"])
     shape = container.typed_tuple(meta, "shape", int)
     d = codes_mod.decode(sec["codes"]).reshape(shape)
-    u = _inverse(d, container.typed(meta, "order", int))
-    return 2.0 * float(container.typed(meta, "e", float)) * u.astype(np.float64)
+    u = _inverse(d, container.typed(meta, "order", int, lambda v: v in (1, 2)))
+    e = float(container.typed(meta, "e", float, container.positive))
+    return 2.0 * e * u.astype(np.float64)

@@ -63,8 +63,8 @@ def decompress(blob: bytes) -> np.ndarray:
     sec = container.unpack(blob)
     meta = container.from_json(sec["meta"])
     shape = container.typed_tuple(meta, "shape", int)
-    e = float(container.typed(meta, "e", float))
-    step = float(container.typed(meta, "step", float))
+    e = float(container.typed(meta, "e", float, container.positive))
+    step = float(container.typed(meta, "step", float, container.positive))
     q = codes_mod.decode(sec["codes"]).reshape(shape)
     recon = wavelet.inverse(2.0 * step * q.astype(np.float64), _n_levels(shape))
     return corrections.apply(recon, sec, e)

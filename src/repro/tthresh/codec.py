@@ -70,8 +70,8 @@ def decompress(blob: bytes) -> np.ndarray:
     sec = container.unpack(blob)
     meta = container.from_json(sec["meta"])
     shape = container.typed_tuple(meta, "shape", int)
-    e = float(container.typed(meta, "e", float))
-    step = float(container.typed(meta, "step", float))
+    e = float(container.typed(meta, "e", float, container.positive))
+    step = float(container.typed(meta, "step", float, container.positive))
     nd = len(shape)
     factors = [
         container.to_array(lossless.decompress(sec[f"factor{d}"])).astype(np.float64)

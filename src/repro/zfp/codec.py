@@ -211,14 +211,14 @@ def _reconstruct(
 def decompress(blob: bytes) -> np.ndarray:
     sec = container.unpack(blob)
     meta = container.from_json(sec["meta"])
-    if meta["frac_bits"] != _FRAC_BITS:
+    frac_bits = container.typed(meta, "frac_bits", int)
+    if frac_bits != _FRAC_BITS:
         raise ValueError(
-            f"unsupported zfp payload: frac_bits={meta['frac_bits']!r} "
-            f"(expected {_FRAC_BITS})"
+            f"unsupported zfp payload: frac_bits={frac_bits!r} (expected {_FRAC_BITS})"
         )
     shape = container.typed_tuple(meta, "shape", int)
     nd = len(shape)
-    e = float(container.typed(meta, "e", float))
+    e = float(container.typed(meta, "e", float, container.positive))
     emax = container.to_array(lossless.decompress(sec["emax"]))
     widths = container.to_array(lossless.decompress(sec["widths"]))
     qf = np.zeros((emax.size, _BLOCK**nd), dtype=np.int64)

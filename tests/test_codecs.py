@@ -1,5 +1,7 @@
 """Integration tests: every codec x dataset x eps holds the bound and
 roundtrips through the self-describing registry (paper §7.1.2/§7.1.3)."""
+import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -348,6 +350,87 @@ def test_every_meta_key_is_read(codec, dataset):
     for sections, key in keys:
         with pytest.raises(ValueError):
             codecs.decompress(_edit_at(blob, sections, _drop(key)))
+
+
+def _set(keys, value):
+    def edit(meta):
+        for k in keys[:-1]:
+            meta = meta[k]
+        meta[keys[-1]] = value
+
+    return edit
+
+
+_INNER = ("payload", "inner", "meta")
+_OUTER = ("payload", "meta")
+_WRONG = "holds a wrong value"
+_UNFIT = "does not fit shape"
+
+
+@functools.lru_cache(maxsize=None)
+def _blob(codec, dataset):
+    return codecs.compress(codec, generate(dataset, "test"), 1e-3)
+
+
+@pytest.mark.parametrize(
+    "codec,dataset,sections,keys,value,match",
+    [
+        ("hpez", "APS", _INNER, ("order",), 3, _WRONG),
+        ("hpez", "APS", _INNER, ("order",), 0, _WRONG),
+        ("hpez", "APS", _INNER, ("e",), -1.0, _WRONG),
+        ("hpez", "Miranda", _INNER, ("cfg", "level_configs", 0, "paradigm"), "xx", _WRONG),
+        ("hpez", "Miranda", _INNER, ("cfg", "level_configs", 0, "spline"), "foo", _WRONG),
+        ("hpez", "Miranda", _INNER, ("cfg", "level_configs"), [], _WRONG),
+        ("hpez", "Miranda", _INNER, ("cfg", "anchor_stride"), 33, _WRONG),
+        ("hpez", "Miranda", _INNER, ("cfg", "anchor_stride"), 1, _WRONG),
+        ("hpez", "Miranda", _INNER, ("cfg", "alpha"), 0, _WRONG),
+        ("hpez", "Miranda", _INNER, ("cfg", "alpha"), math.inf, _WRONG),
+        ("hpez", "Miranda", _INNER, ("cfg", "beta"), -1, _WRONG),
+        ("hpez", "Miranda", _INNER, ("e",), -1.0, _WRONG),
+        ("hpez", "Miranda", _INNER, ("e",), 0, _WRONG),
+        ("hpez", "Miranda", _INNER, ("cfg", "level_configs", 0, "dim_order"), [7, 0], _UNFIT),
+        ("hpez", "Miranda", _INNER, ("cfg", "frozen_axes"), [0, 0], _UNFIT),
+        ("hpez", "Miranda", _INNER, ("cfg", "frozen_axes"), [3], _UNFIT),
+        ("hpez", "Miranda", _INNER, ("cfg", "md_sigma2"), [1.0], _UNFIT),
+        ("sperr", "Miranda", _OUTER, ("step",), 0, _WRONG),
+        ("sperr", "Miranda", _OUTER, ("e",), -1.0, _WRONG),
+        ("tthresh", "Miranda", _OUTER, ("step",), 0, _WRONG),
+        ("zfp", "Miranda", _OUTER, ("e",), -1.0, _WRONG),
+        ("zfp", "Miranda", _OUTER, ("frac_bits",), 40.0, "meta key 'frac_bits' is not int"),
+    ],
+    ids=[
+        "lorenzo-order-3",
+        "lorenzo-order-0",
+        "lorenzo-e",
+        "paradigm",
+        "spline",
+        "no-level-configs",
+        "anchor-stride-33",
+        "anchor-stride-1",
+        "alpha-0",
+        "alpha-inf",
+        "beta-negative",
+        "e-negative",
+        "e-zero",
+        "dim-order",
+        "frozen-twice",
+        "frozen-no-axis",
+        "md-sigma2-length",
+        "sperr-step",
+        "sperr-e",
+        "tthresh-step",
+        "zfp-e",
+        "zfp-float-frac-bits",
+    ],
+)
+def test_wrong_meta_value_raises_value_error(codec, dataset, sections, keys, value, match):
+    """A meta value of the right JSON type that the encoder never writes
+    (an order, name, axis, stride or bound out of its range) raises
+    ``ValueError`` where it is read, not a wrong decode, ``KeyError``,
+    ``IndexError`` or ``ZeroDivisionError``."""
+    bad = _edit_at(_blob(codec, dataset), sections, _set(keys, value))
+    with pytest.raises(ValueError, match=match):
+        codecs.decompress(bad)
 
 
 def test_zfp_rejects_other_frac_bits():
