@@ -75,7 +75,7 @@ class TuneOptions:
     fvfi: bool = True  # §5.4.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TuneResult:
     use_lorenzo: bool
     cfg: EngineConfig
@@ -304,7 +304,7 @@ def tune_blocks(
     choice."""
     B = interp.BLOCK
     shape = data.shape
-    nblocks = tuple((n + B - 1) // B for n in shape)
+    nblocks = interp.block_grid(shape)
     if int(np.prod(nblocks)) <= 1:
         return None
     cfg_map = np.zeros(nblocks, dtype=np.uint8)
@@ -365,17 +365,18 @@ def tune_blocks(
     return cfg_map
 
 
-def _validate_blockcfg(data: np.ndarray, e: float, cfg: EngineConfig) -> bool:
+def _validate_blockcfg(
+    data: np.ndarray, e: float, cfg: EngineConfig, block_map: np.ndarray
+) -> bool:
     """End-to-end check of a proposed block map (§6.6), which overrides
-    the level-1 spline somewhere: compress a block-aligned crop around
-    the first overridden block with and without the map; keep it only if
-    the payload actually shrinks. The stride-1 sub-block probe is
+    ``cfg``'s level-1 spline somewhere: compress a block-aligned crop
+    around the first overridden block with and without the map; keep it
+    only if the payload actually shrinks. The stride-1 sub-block probe is
     optimistic on clean data, and the lossless stage is sensitive to
     mixed code distributions (DESIGN.md §2)."""
-    assert cfg.block_cfg is not None
     B = interp.BLOCK
     gid = SPLINE_CHOICES.index(cfg.level_configs[0].spline)
-    bidx = np.argwhere(cfg.block_cfg != gid)[0]
+    bidx = np.argwhere(block_map != gid)[0]
     sel = []
     bsel = []
     for ax, bi in enumerate(bidx):
@@ -386,9 +387,9 @@ def _validate_blockcfg(data: np.ndarray, e: float, cfg: EngineConfig) -> bool:
         sel.append(slice(o, o + w))
         bsel.append(slice(o // B, (o + w + B - 1) // B))
     crop = np.ascontiguousarray(data[tuple(sel)])
-    sub = replace(cfg, block_cfg=np.ascontiguousarray(cfg.block_cfg[tuple(bsel)]))
+    sub = replace(cfg, block_cfg=block_map[tuple(bsel)].tobytes())
     with_map, _ = interp.compress(crop, e, sub)
-    without, _ = interp.compress(crop, e, replace(sub, block_cfg=None))
+    without, _ = interp.compress(crop, e, cfg)
     return len(with_map) < len(without)
 
 
@@ -465,12 +466,10 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
 
     # §6.6 block-wise interpolation tuning
     if opts.blockwise and not use_lorenzo:
-        block_cfg = tune_blocks(
+        block_map = tune_blocks(
             data, opts, cfg.frozen_axes, cfg.level_configs[0].spline, e
         )
-        if block_cfg is not None:
-            mapped = replace(cfg, block_cfg=block_cfg)
-            if _validate_blockcfg(data, e, mapped):
-                cfg = mapped
+        if block_map is not None and _validate_blockcfg(data, e, cfg, block_map):
+            cfg = replace(cfg, block_cfg=block_map.tobytes())
 
     return TuneResult(use_lorenzo=use_lorenzo, cfg=cfg)

@@ -82,6 +82,12 @@ PLAN_CACHE = 256
 BLOCK = 32
 
 
+def block_grid(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Blocks per axis of the §6.6 map over an array of ``shape``, edge
+    blocks included."""
+    return tuple((n + BLOCK - 1) // BLOCK for n in shape)
+
+
 def _eb_factor(v: float) -> bool:
     """Eq. 15's ``alpha`` and ``beta``: finite and >= 1."""
     return 1 <= v < math.inf
@@ -124,7 +130,8 @@ class EngineConfig:
     beta: float = 1.0  # Eq. 15
     frozen_axes: tuple[int, ...] = ()  # §6.3
     md_sigma2: tuple[float, ...] | None = None  # §5.3 sigma_i^2 estimates
-    block_cfg: np.ndarray | None = None  # per-BLOCK^d spline id (§6.6), or None
+    # §6.6 spline ids, uint8 in C order over ``block_grid(shape)``, or None
+    block_cfg: bytes | None = None
     fvfi: bool = True  # §5.4.1
 
     def to_dict(self) -> dict:
@@ -141,7 +148,7 @@ class EngineConfig:
         }
 
     @staticmethod
-    def from_dict(d: dict, block_cfg: np.ndarray | None = None) -> "EngineConfig":
+    def from_dict(d: dict, block_cfg: bytes | None = None) -> "EngineConfig":
         """Invert :meth:`to_dict`; ``block_cfg`` is the payload's block
         map, which is stored in its own section."""
         if d["block_size"] != BLOCK or d["radius"] != RADIUS:
@@ -166,6 +173,13 @@ class EngineConfig:
             block_cfg=block_cfg,
             fvfi=container.typed(d, "fvfi", bool),
         )
+
+
+def _block_ids(cfg: EngineConfig, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``cfg.block_cfg`` as an array over ``block_grid(shape)``."""
+    if cfg.block_cfg is None:
+        return None
+    return np.frombuffer(cfg.block_cfg, dtype=np.uint8).reshape(block_grid(shape))
 
 
 def _stencil_name(spline: str, same_level_phase: bool) -> str:
@@ -361,14 +375,16 @@ def _walk(
     stream view ``out`` and returns the reconstruction, which the walk
     writes back into ``a``.
     """
-    used = [] if cfg.block_cfg is None else np.unique(cfg.block_cfg).tolist()
+    block_ids = _block_ids(cfg, a.shape)
+    used = [] if block_ids is None else np.unique(block_ids).tolist()
     off = 0
     for p in passes(a.shape, cfg, levels):
         chunk = codes[off : off + p.size].reshape(p.shape)
         off += p.size
         e_l = e / min(cfg.alpha ** (p.level - 1), cfg.beta)
         for st in p.steps:
-            a[st.sel] = qfun(_blend(a, cfg, p, st, used), st.sel, e_l, chunk[st.out])
+            pred = _blend(a, cfg, p, st, block_ids, used)
+            a[st.sel] = qfun(pred, st.sel, e_l, chunk[st.out])
 
 
 def _predict(
@@ -399,10 +415,16 @@ def _predict(
 
 
 def _blend(
-    a: np.ndarray, cfg: EngineConfig, p: Pass, st: Step, used: list[int]
+    a: np.ndarray,
+    cfg: EngineConfig,
+    p: Pass,
+    st: Step,
+    block_ids: np.ndarray | None,
+    used: list[int],
 ) -> np.ndarray:
     """Prediction of step ``st`` of pass ``p`` with the level spline, or
-    blended per §6.6 block from the splines ``used`` in the block map.
+    blended per §6.6 block from the splines ``used`` in the block map
+    ``block_ids``.
 
     The map applies on the final level only: block tuning scores splines
     at stride 1 (§6.6's sub-block test), which says nothing about the
@@ -412,12 +434,12 @@ def _blend(
         stencil = _stencil_name(spline, st.same_level)
         return _predict(a, p, st, stencil, cfg.md_sigma2)
 
-    if cfg.block_cfg is None or p.level != 1:
+    if block_ids is None or p.level != 1:
         return pred_of(p.lc.spline)
     pred = pred_of(splines.SPLINE_CHOICES[used[0]])
     if len(used) > 1:
         pos = [np.arange(n)[sl] // BLOCK for n, sl in zip(a.shape, st.sel)]
-        ids = cfg.block_cfg[np.ix_(*pos)]
+        ids = block_ids[np.ix_(*pos)]
         for sid in used[1:]:
             pred = np.where(ids == sid, pred_of(splines.SPLINE_CHOICES[sid]), pred)
     return pred
@@ -473,14 +495,10 @@ def compress(
         sections.append(
             ("literals", lossless.compress(container.array_section(lits)))
         )
-    if cfg.block_cfg is not None:
+    block_ids = _block_ids(cfg, data.shape)
+    if block_ids is not None:
         sections.append(
-            (
-                "blockcfg",
-                lossless.compress(
-                    container.array_section(cfg.block_cfg.astype(np.uint8))
-                ),
-            )
+            ("blockcfg", lossless.compress(container.array_section(block_ids)))
         )
     return container.pack(sections), a
 
@@ -511,11 +529,20 @@ def decompress(payload: bytes) -> np.ndarray:
     """Invert :func:`compress`; returns float64 reconstruction."""
     sec = container.unpack(payload)
     meta = container.from_json(sec["meta"])
+    shape = container.typed_tuple(meta, "shape", int)
     block_cfg = None
     if "blockcfg" in sec:
-        block_cfg = container.to_array(lossless.decompress(sec["blockcfg"]))
+        ids = container.to_array(lossless.decompress(sec["blockcfg"]))
+        if (
+            ids.dtype != np.uint8
+            or ids.shape != block_grid(shape)
+            or ids.max(initial=0) >= len(splines.SPLINE_CHOICES)
+        ):
+            raise ValueError(
+                f"corrupt container: block map does not fit shape {shape}"
+            )
+        block_cfg = ids.tobytes()
     cfg = EngineConfig.from_dict(container.typed(meta, "cfg", dict), block_cfg)
-    shape = container.typed_tuple(meta, "shape", int)
     _check_axes(cfg, shape)
     e = float(container.typed(meta, "e", float, container.positive))
     codes = codes_mod.decode(sec["codes"])

@@ -1,4 +1,5 @@
 """Auto-tuning module tests (paper §6, Fig. 7)."""
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,21 @@ def test_block_map_shape():
         assert m.shape == (1, 3, 3)
 
 
+def test_tuned_block_map_is_a_value():
+    """A tuned plan with a §6.6 block map is a value: tuning twice gives
+    equal, equally hashed results, and a result cannot be changed."""
+    from repro.datasets import generate
+
+    f = generate("CESM-ATM", "bench")
+    e = 1e-4 * float(f.max() - f.min())
+    res = autotune.tune(f, e, TuneOptions())
+    assert res.cfg.block_cfg is not None
+    twin = autotune.tune(f, e, TuneOptions())
+    assert res == twin and hash(res) == hash(twin)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.use_lorenzo = True
+
+
 def test_tuned_config_compresses_within_bound():
     for maker in (_smooth, _freeze_friendly):
         f = maker()
@@ -183,12 +199,7 @@ def test_lorenzo_test_stops_once_lost(monkeypatch):
     full = sum(len(orig(b, e)) for b in blocks)
     assert full * autotune.LORENZO_COEF >= best_bytes
     assert not res.use_lorenzo
-    assert res.cfg.md_sigma2 == ref.cfg.md_sigma2
-    assert res.cfg.to_dict() == ref.cfg.to_dict()
-    if ref.cfg.block_cfg is None:
-        assert res.cfg.block_cfg is None
-    else:
-        np.testing.assert_array_equal(res.cfg.block_cfg, ref.cfg.block_cfg)
+    assert res.cfg == ref.cfg
 
 
 def _tune_blocks_per_block(data, opts, frozen, global_spline, e):

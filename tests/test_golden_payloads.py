@@ -103,11 +103,10 @@ def _engine_cases() -> dict[str, tuple[np.ndarray, float, EngineConfig]]:
         name = f"engine/{key}/{paradigm}/{spline}/sl{int(sl)}/fvfi{int(fvfi)}/frozen{frozen}"
         cases[name] = (f, 1e-3 * float(f.max() - f.min()), cfg)
     f = _field((40, 40), seed=8)
-    bc = np.array([[0, 1], [2, 1]], dtype=np.uint8)
     cases["engine/blockmap"] = (
         f,
         1e-3 * float(f.max() - f.min()),
-        EngineConfig(block_cfg=bc),
+        EngineConfig(block_cfg=bytes([0, 1, 2, 1])),
     )
     f = _field((19, 23, 17), seed=9)
     cases["engine/literals"] = (f, 1e-7 * float(f.max() - f.min()), EngineConfig())

@@ -182,11 +182,39 @@ def test_level_error_bounds_eq15():
 def test_block_cfg_roundtrip():
     """Per-block spline overrides reproduce bit-exactly on both sides."""
     f = _field((40, 40), seed=8)
-    bc = np.array([[0, 1], [2, 1]], dtype=np.uint8)
-    cfg = EngineConfig(block_cfg=bc)
+    cfg = EngineConfig(block_cfg=bytes([0, 1, 2, 1]))
     e, recon, out = _roundtrip(f, cfg)
     np.testing.assert_array_equal(out, recon)
     assert np.abs(out - f.astype(np.float64)).max() <= e
+
+
+def _with_block_map(blob, ids):
+    """``blob`` with its block map replaced by the array ``ids``."""
+    sec = container.unpack(blob)
+    sec["blockcfg"] = lossless.compress(container.array_section(ids))
+    return container.pack(list(sec.items()))
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        np.zeros((4, 4), np.uint8),
+        np.zeros((2, 2), np.uint8),
+        np.full((3, 3), -1, np.int64),
+        np.zeros((3, 3), np.float64),
+        np.full((3, 3), 3, np.uint8),
+    ],
+    ids=["4x4", "2x2", "int64", "float", "id-3"],
+)
+def test_damaged_block_map_raises_value_error(ids):
+    """A stored §6.6 map must be uint8 ids < 3 over ``block_grid(shape)``
+    (3x3 for 80x70); any other map raises ``ValueError``."""
+    f = _field((80, 70), seed=8)
+    cfg = EngineConfig(block_cfg=bytes([0, 1, 2, 1, 0, 1, 2, 1, 0]))
+    blob, _ = interp.compress(f, 1e-3, cfg)
+    assert interp.block_grid(f.shape) == (3, 3)
+    with pytest.raises(ValueError, match="block map does not fit"):
+        interp.decompress(_with_block_map(blob, ids))
 
 
 def test_md_weights_used():
@@ -269,7 +297,7 @@ def test_config_is_frozen():
     """A tuned plan is a value: variants are built with ``replace``."""
     cfg = EngineConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.block_cfg = np.zeros((2, 2), np.uint8)
+        cfg.block_cfg = bytes(4)
 
 
 def test_short_code_stream_rejected():
@@ -361,7 +389,7 @@ _REF_CASES = {
     "4d-md": ((7, 9, 6, 10), EngineConfig(level_configs=_lc("md", "linear", False))),
     "2d-blockmap-nofvfi": (
         (40, 40),
-        EngineConfig(block_cfg=np.array([[0, 1], [2, 1]], np.uint8), fvfi=False),
+        EngineConfig(block_cfg=bytes([0, 1, 2, 1]), fvfi=False),
     ),
 }
 
