@@ -91,43 +91,36 @@ def from_json(data: bytes) -> Any:
 _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, list: list, dict: dict}
 
 
-def _checked(value: Any, kind: type, key: str) -> Any:
+#: a predicate on a meta value: does the encoder write such a value?
+_Check = Callable[[Any], bool] | None
+
+
+def _checked(value: Any, kind: type, key: str, ok: _Check = None) -> Any:
     # a JSON bool is a bool, never a number
-    if isinstance(value, _JSON_TYPES[kind]) and (kind is bool) == isinstance(value, bool):
-        return value
-    raise ValueError(f"{_CORRUPT}: meta key {key!r} is not {kind.__name__}: {value!r}")
+    if not isinstance(value, _JSON_TYPES[kind]) or (kind is bool) != isinstance(value, bool):
+        raise ValueError(f"{_CORRUPT}: meta key {key!r} is not {kind.__name__}: {value!r}")
+    if ok is not None and not ok(value):
+        raise ValueError(f"{_CORRUPT}: meta key {key!r} holds a wrong value: {value!r}")
+    return value
 
 
-def _valid(value: Any, ok: Callable[[Any], bool] | None, key: str) -> Any:
-    if ok is None or ok(value):
-        return value
-    raise ValueError(f"{_CORRUPT}: meta key {key!r} holds a wrong value: {value!r}")
-
-
-def typed(
-    meta: dict, key: str, kind: type, ok: Callable[[Any], bool] | None = None
-) -> Any:
+def typed(meta: dict, key: str, kind: type, ok: _Check = None) -> Any:
     """``meta[key]`` if it holds a JSON ``kind`` (``float`` also takes an
     int) for which ``ok`` holds; any other value raises
     ``ValueError("corrupt container ...")``."""
-    return _valid(_checked(meta[key], kind, key), ok, key)
+    return _checked(meta[key], kind, key, ok)
 
 
 def typed_tuple(
-    meta: dict,
-    key: str,
-    kind: type,
-    nullable: bool = False,
-    ok: Callable[[tuple], bool] | None = None,
+    meta: dict, key: str, kind: type, nullable: bool = False, ok: _Check = None
 ) -> tuple | None:
-    """``meta[key]``, a JSON list of ``kind`` values (see :func:`typed`),
-    as a tuple for which ``ok`` holds; ``None`` stays ``None`` if
+    """``meta[key]``, a JSON list of ``kind`` values (see :func:`typed`)
+    for which ``ok`` holds, as a tuple; ``None`` stays ``None`` if
     ``nullable``."""
     value = meta[key]
     if value is None and nullable:
         return None
-    items = tuple(_checked(v, kind, key) for v in _checked(value, list, key))
-    return _valid(items, ok, key)
+    return tuple(_checked(v, kind, key) for v in _checked(value, list, key, ok))
 
 
 def positive(v: float) -> bool:

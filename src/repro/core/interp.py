@@ -510,8 +510,8 @@ def _check_axes(cfg: EngineConfig, shape: tuple[int, ...]) -> None:
     the active axes."""
     active = sorted(_active_axes(shape, cfg.frozen_axes))
     fits = {
-        "frozen_axes": len(set(cfg.frozen_axes)) == len(cfg.frozen_axes)
-        and set(cfg.frozen_axes) <= set(range(len(shape))),
+        "frozen_axes": len(set(cfg.frozen_axes) & set(range(len(shape))))
+        == len(cfg.frozen_axes),
         "md_sigma2": cfg.md_sigma2 is None or len(cfg.md_sigma2) == len(shape),
         "dim_order": all(
             c.dim_order is None or sorted(c.dim_order) == active
