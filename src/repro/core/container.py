@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from typing import Any, Callable
 
 import numpy as np
@@ -123,9 +124,13 @@ def typed_tuple(
     return tuple(_checked(v, kind, key) for v in _checked(value, list, key, ok))
 
 
+#: the largest finite float; a JSON int above it does not convert
+FLOAT_MAX = sys.float_info.max
+
+
 def positive(v: float) -> bool:
     """An error bound or a quantization step: finite and > 0."""
-    return 0 < v < math.inf
+    return 0 < v <= FLOAT_MAX
 
 
 def array_section(a: np.ndarray) -> bytes:

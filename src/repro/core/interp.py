@@ -90,7 +90,7 @@ def block_grid(shape: tuple[int, ...]) -> tuple[int, ...]:
 
 def _eb_factor(v: float) -> bool:
     """Eq. 15's ``alpha`` and ``beta``: finite and >= 1."""
-    return 1 <= v < math.inf
+    return 1 <= v <= container.FLOAT_MAX
 
 
 @dataclass(frozen=True)

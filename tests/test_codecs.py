@@ -388,6 +388,7 @@ def _blob(codec, dataset):
         ("hpez", "Miranda", _INNER, ("cfg", "beta"), -1, _WRONG),
         ("hpez", "Miranda", _INNER, ("e",), -1.0, _WRONG),
         ("hpez", "Miranda", _INNER, ("e",), 0, _WRONG),
+        ("hpez", "Miranda", _INNER, ("e",), 10**400, _WRONG),
         ("hpez", "Miranda", _INNER, ("cfg", "level_configs", 0, "dim_order"), [7, 0], _UNFIT),
         ("hpez", "Miranda", _INNER, ("cfg", "frozen_axes"), [0, 0], _UNFIT),
         ("hpez", "Miranda", _INNER, ("cfg", "frozen_axes"), [3], _UNFIT),
@@ -412,6 +413,7 @@ def _blob(codec, dataset):
         "beta-negative",
         "e-negative",
         "e-zero",
+        "e-huge-int",
         "dim-order",
         "frozen-twice",
         "frozen-no-axis",
