@@ -470,6 +470,30 @@ def encode_walk(
     return stream, enc.literals()
 
 
+def _check_axes(cfg: EngineConfig, shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``cfg`` names the axes of ``shape`` as
+    a walk over it reads them: distinct frozen axes, one ``md_sigma2`` per
+    axis, and dim orders of distinct active axes (the walk appends the
+    active axes an order leaves out). :func:`compress` refuses any other
+    config, so :func:`decompress` reads any other meta as damage."""
+
+    def distinct_of(axes: tuple[int, ...], allowed) -> bool:
+        return len(set(axes) & set(allowed)) == len(axes)
+
+    active = _active_axes(shape, cfg.frozen_axes)
+    fits = {
+        "frozen_axes": distinct_of(cfg.frozen_axes, range(len(shape))),
+        "md_sigma2": cfg.md_sigma2 is None or len(cfg.md_sigma2) == len(shape),
+        "dim_order": all(
+            c.dim_order is None or distinct_of(c.dim_order, active)
+            for c in cfg.level_configs
+        ),
+    }
+    for key, ok in fits.items():
+        if not ok:
+            raise ValueError(f"engine config key {key!r} does not fit shape {shape}")
+
+
 def compress(
     data: np.ndarray, e: float, cfg: EngineConfig
 ) -> tuple[bytes, np.ndarray]:
@@ -478,6 +502,7 @@ def compress(
     handy for in-loop quality estimation during tuning."""
     if e <= 0:
         raise ValueError("error bound must be positive")
+    _check_axes(cfg, data.shape)
     orig_dtype = data.dtype
     # a copy, always: the walk writes its reconstruction into ``a``
     a = np.array(data, dtype=np.float64, order="C")
@@ -501,28 +526,6 @@ def compress(
             ("blockcfg", lossless.compress(container.array_section(block_ids)))
         )
     return container.pack(sections), a
-
-
-def _check_axes(cfg: EngineConfig, shape: tuple[int, ...]) -> None:
-    """Raise ``ValueError("corrupt container ...")`` unless ``cfg`` names
-    the axes of ``shape`` as :func:`compress` writes them: distinct frozen
-    axes, one ``md_sigma2`` per axis, and each dim order a permutation of
-    the active axes."""
-    active = sorted(_active_axes(shape, cfg.frozen_axes))
-    fits = {
-        "frozen_axes": len(set(cfg.frozen_axes) & set(range(len(shape))))
-        == len(cfg.frozen_axes),
-        "md_sigma2": cfg.md_sigma2 is None or len(cfg.md_sigma2) == len(shape),
-        "dim_order": all(
-            c.dim_order is None or sorted(c.dim_order) == active
-            for c in cfg.level_configs
-        ),
-    }
-    for key, ok in fits.items():
-        if not ok:
-            raise ValueError(
-                f"corrupt container: meta key {key!r} does not fit shape {shape}"
-            )
 
 
 def decompress(payload: bytes) -> np.ndarray:

@@ -188,6 +188,44 @@ def test_block_cfg_roundtrip():
     assert np.abs(out - f.astype(np.float64)).max() <= e
 
 
+def _order(*axes):
+    return (InterpConfig("1d", "cubic_nak", False, axes),)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        EngineConfig(frozen_axes=(0, 0)),
+        EngineConfig(frozen_axes=(2,)),
+        EngineConfig(md_sigma2=(1.0,)),
+        EngineConfig(level_configs=_order(1, 1)),
+        EngineConfig(level_configs=_order(0, 1), frozen_axes=(0,)),
+        EngineConfig(level_configs=_order(7, 0)),
+    ],
+    ids=[
+        "frozen-twice",
+        "frozen-no-axis",
+        "md-sigma2-length",
+        "order-twice",
+        "order-frozen",
+        "order-no-axis",
+    ],
+)
+def test_compress_refuses_axes_that_do_not_fit(cfg):
+    """A config naming axes the walk over the input does not have is
+    refused on compress, as its meta would be on decompress."""
+    with pytest.raises(ValueError, match="does not fit shape"):
+        interp.compress(_field((20, 21)), 1e-3, cfg)
+
+
+def test_partial_dim_order_roundtrips():
+    """A dim order naming some active axes is completed by the walk, on
+    both sides."""
+    f = _field((20, 21, 19))
+    e, recon, out = _roundtrip(f, EngineConfig(level_configs=_order(2)))
+    np.testing.assert_array_equal(out, recon)
+
+
 def _with_block_map(blob, ids):
     """``blob`` with its block map replaced by the array ``ids``."""
     sec = container.unpack(blob)
