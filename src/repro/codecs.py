@@ -46,13 +46,13 @@ def abs_bound(data: np.ndarray, eps: float, mode: str = "rel") -> float:
 
     ``mode="rel"`` gives ``eps * (max - min)`` (paper §7.1.3; ``eps`` on a
     constant field); ``mode="abs"`` gives ``eps``. Raises ``ValueError``
-    for an unknown mode, an empty array, non-finite data (seen as a
+    for an unknown mode, a 0-d or empty array, non-finite data (seen as a
     non-finite value range) and a bound that is not finite and > 0."""
     if mode not in ("rel", "abs"):
         raise ValueError(f"mode must be 'rel' or 'abs', got {mode!r}")
     data = np.asarray(data)
-    if data.size == 0:
-        raise ValueError("cannot compress an empty array")
+    if data.ndim == 0 or data.size == 0:
+        raise ValueError(f"cannot compress a 0-d or empty array (shape {data.shape})")
     r = metrics.value_range(data)
     if not np.isfinite(r):
         raise ValueError(
@@ -90,8 +90,8 @@ def roundtrip(
     name: str, data: np.ndarray, eps: float
 ) -> tuple[bytes, np.ndarray, float, float]:
     """Timed :func:`compress` → :func:`decompress` under value-range bound
-    ``eps`` that checks ``max|x - x'| <= e`` (with 1e-6 relative slack for
-    the rounding of ``e``); returns ``(blob, recon, compress_s,
+    ``eps`` that checks ``max|x - x'| <= e`` (with
+    :data:`metrics.BOUND_SLACK` relative slack); returns ``(blob, recon, compress_s,
     decompress_s)``."""
     e = abs_bound(data, eps)
     t0 = time.perf_counter()
@@ -100,7 +100,7 @@ def roundtrip(
     recon = decompress(blob)
     t2 = time.perf_counter()
     err = metrics.max_abs_err(data, recon)
-    if not err <= e * (1 + 1e-6):
+    if not err <= e * (1 + metrics.BOUND_SLACK):
         raise RuntimeError(
             f"bound violated: {name} max|x - x'| = {err!r} > e = {e!r}"
         )

@@ -44,16 +44,23 @@ def search_step(
 
 
 def sections(a: np.ndarray, recon: np.ndarray, e: float) -> list[tuple[str, bytes]]:
-    """Container sections listing the points of ``recon`` farther than
-    ``e`` from ``a`` (none when every point holds): ``corr_idx``, their
-    flat indices delta-coded (the first index, then the gap to the
-    previous one), and ``corr_val``, ``rint(err / e)`` for each, both
-    through ``codes.encode``."""
+    """Container sections listing the points of ``recon`` not within
+    ``e`` of ``a``, NaN included (none when every point holds):
+    ``corr_idx``, their flat indices delta-coded (the first index, then
+    the gap to the previous one), and ``corr_val``, ``rint(err / e)`` for
+    each, both through ``codes.encode``. Raises ``ValueError`` when a
+    listed point would not decode within ``e`` through :func:`apply`: an
+    error too large for an int64 multiple of ``e`` (``e`` far below the
+    data's resolution) or a non-finite reconstruction."""
     err = (a - recon).ravel()
-    idx = np.flatnonzero(np.abs(err) > e)
+    idx = np.flatnonzero(~(np.abs(err) <= e))
     if not idx.size:
         return []
-    corr = np.rint(err[idx] / e).astype(np.int64)
+    with np.errstate(invalid="ignore"):  # NaN and |err / e| >= 2^63 wrap
+        corr = np.rint(err[idx] / e).astype(np.int64)
+    fixed = recon.ravel()[idx] + corr * e
+    if not (np.abs(a.ravel()[idx] - fixed) <= e).all():
+        raise ValueError(f"correction list cannot bound e = {e!r} on this input")
     return [
         ("corr_idx", codes.encode(np.diff(idx, prepend=0))),
         ("corr_val", codes.encode(corr)),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import codes as codes_mod
-from . import container
+from . import container, metrics
 
 _MAX_INDEX = float(2**60)
 
@@ -42,8 +42,9 @@ def _inverse(d: np.ndarray, order: int) -> np.ndarray:
 
 
 def compress(data: np.ndarray, e: float) -> bytes:
-    """Compress under absolute bound ``e``; raises if the quantization
-    lattice would overflow (caller falls back to interpolation)."""
+    """Compress under absolute bound ``e``; raises ``OverflowError`` if
+    the quantization lattice would overflow or holds no point within
+    ``e`` of some value (caller falls back to interpolation)."""
     if e <= 0:
         raise ValueError("error bound must be positive")
     a = np.asarray(data, dtype=np.float64)
@@ -53,13 +54,22 @@ def compress(data: np.ndarray, e: float) -> bytes:
     u = np.rint(scaled).astype(np.int64)
     # Floating rounding of 2e*u can overshoot the bound by ~1 ulp; nudge
     # the affected lattice indices so the guarantee is exact in float64.
-    recon = 2.0 * e * u
-    over = (a - recon) > e
+    # Where e is only a few hundred ulps of the data, neither neighbour
+    # may hold: the nudged points are checked again.
+    nudged = []
+    over = (a - 2.0 * e * u) > e
     if over.any():
         u[over] += 1
+        nudged.append(np.flatnonzero(over))
     under = (a - 2.0 * e * u) < -e
     if under.any():
         u[under] -= 1
+        nudged.append(np.flatnonzero(under))
+    if nudged:
+        i = np.concatenate(nudged)
+        err = np.abs(a.flat[i] - 2.0 * e * u.flat[i])
+        if not (err <= e * (1 + metrics.BOUND_SLACK)).all():
+            raise OverflowError("no Lorenzo lattice point within the bound")
     blobs = {o: codes_mod.encode(_forward(u, o).ravel(), center=0) for o in (1, 2)}
     # the smaller stream; order 1 on a tie
     order = min(blobs, key=lambda o: len(blobs[o]))

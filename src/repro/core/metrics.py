@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: relative slack of the bound check ``max|x - x'| <= e·(1 + BOUND_SLACK)``:
+#: a point on the lattice ``2e·u`` may overshoot ``e`` by an ulp of the data
+BOUND_SLACK = 1e-6
+
 
 def value_range(x: np.ndarray) -> float:
     """``max - min`` in float64. The extremes are taken in the input dtype

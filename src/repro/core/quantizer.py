@@ -48,16 +48,17 @@ class QuantEncoder:
         recon += pred
         # Outlier if the quantization index saturates or float rounding
         # pushed the reconstruction out of bound; the mask is only built
-        # when a reduction says there is one.
+        # when a reduction says there is one. The tests are written so
+        # that a NaN (a prediction from overflowed weights) is an outlier.
         t = truth - recon
         np.abs(t, out=t)
         sat = RADIUS - 1
-        if (
-            t.max(initial=0.0) > eb
-            or q.max(initial=0.0) >= sat
-            or q.min(initial=0.0) <= -sat
+        if not (
+            t.max(initial=0.0) <= eb
+            and q.max(initial=0.0) < sat
+            and q.min(initial=0.0) > -sat
         ):
-            bad = t > eb
+            bad = ~(t <= eb)
             np.abs(q, out=t)
             bad |= t >= sat
             # -RADIUS shifts to the literal code 0 (and keeps a saturated

@@ -28,14 +28,16 @@ _INTERP = PredictionCodec(replace(PRESETS["hpez"], target="psnr"))
 
 def compress(data: np.ndarray, e: float) -> bytes:
     """Compress under absolute error bound ``e``; keeps the smaller of
-    the interpolation and wavelet payloads, as stored."""
+    the interpolation and wavelet payloads, as stored, or the
+    interpolation payload when the wavelet leg raises ``ValueError``."""
     a = np.asarray(data)
     interp_blob = _INTERP.compress(a, e)
+    try:
+        wave = sperr.compress(a, e)
+    except ValueError:  # the wavelet leg cannot bound this input
+        return interp_blob
     wave_blob = container.pack(
-        [
-            ("meta", container.json_section({"kind": "wavelet"})),
-            ("inner", sperr.compress(a, e)),
-        ]
+        [("meta", container.json_section({"kind": "wavelet"})), ("inner", wave)]
     )
     return wave_blob if len(wave_blob) < len(interp_blob) else interp_blob
 

@@ -31,6 +31,8 @@ def _mode_factors(a: np.ndarray) -> list[np.ndarray]:
     for d in range(a.ndim):
         unf = np.moveaxis(a, d, 0).reshape(a.shape[d], -1)
         gram = unf @ unf.T
+        if not np.isfinite(gram).all():
+            raise ValueError("tthresh: mode Gram matrix overflows on this input")
         w, v = np.linalg.eigh(gram)
         factors.append(v[:, ::-1].copy())  # descending energy
     return factors

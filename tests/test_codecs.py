@@ -145,15 +145,19 @@ def _field24() -> np.ndarray:
 @pytest.mark.parametrize("codec", codecs.ALL_CODECS)
 @pytest.mark.parametrize("mode", ["rel", "abs"])
 @pytest.mark.parametrize(
-    "bad", [np.nan, np.inf, -np.inf, None], ids=["nan", "+inf", "-inf", "empty"]
+    "bad",
+    [np.nan, np.inf, -np.inf, None, ()],
+    ids=["nan", "+inf", "-inf", "empty", "0-d"],
 )
 def test_rejects_unboundable_input(codec, mode, bad):
-    """No codec can hold ``max|x - x'| <= e`` on non-finite or empty
-    input, so ``codecs.compress`` refuses it instead of returning a
+    """No codec can hold ``max|x - x'| <= e`` on non-finite, empty or
+    0-d input, so ``codecs.compress`` refuses it instead of returning a
     payload that silently breaks the bound (also with an absolute bound,
     as the Spark kernels pass)."""
     if bad is None:
         data = np.zeros((0, 8), dtype=np.float32)
+    elif bad == ():
+        data = np.asarray(3.5)
     else:
         data = _field24()
         data[5, 7] = bad
@@ -176,6 +180,41 @@ def test_rejects_unboundable_input(codec, mode, bad):
 def test_rejects_invalid_bound(codec, eps, mode):
     with pytest.raises(ValueError):
         codecs.compress(codec, _field24(), eps, mode=mode)
+
+
+#: id -> (codec, scale of N(0, 1) seed 5, shape, eps, mode)
+_EDGE_CASES = {
+    # §6.1's per-axis MSE overflows, so Eq. 12's weights are 0/0 = NaN
+    "hpez-1e300": ("hpez", 1e300, (24, 24, 24), 1e-3, "rel"),
+    "hpez-1e307": ("hpez", 1e307, (24, 24, 24), 1e-3, "rel"),
+    "faz-1e300": ("faz", 1e300, (24, 24, 24), 1e-3, "rel"),
+    # rint(err / e) of a correction does not fit in int64
+    "sperr-e1e-17": ("sperr", 1e3, (16, 16, 16), 1e-17, "abs"),
+    "tthresh-e1e-17": ("tthresh", 1e3, (16, 16, 16), 1e-17, "abs"),
+    "faz-e1e-17": ("faz", 1e3, (16, 16, 16), 1e-17, "abs"),
+    "zfp-e1e-200": ("zfp", 1e3, (16, 16, 16), 1e-200, "abs"),
+    # the wavelet overflows to NaN
+    "sperr-1e307": ("sperr", 1e307, (24, 24, 24), 1e-3, "rel"),
+    # e is ~900 ulps of the data: no Lorenzo lattice point within e
+    "sz3-e1e-10": ("sz3", 1e3, (16, 16, 16), 1e-10, "abs"),
+    "hpez-e1e-10": ("hpez", 1e3, (16, 16, 16), 1e-10, "abs"),
+}
+
+
+@pytest.mark.parametrize(
+    "codec,scale,shape,eps,mode", list(_EDGE_CASES.values()), ids=list(_EDGE_CASES)
+)
+def test_holds_the_bound_or_raises_value_error(codec, scale, shape, eps, mode):
+    """At the edges of float64 a codec either refuses the input with
+    ``ValueError`` or decodes it within ``e`` (a NaN fails the check)."""
+    data = scale * np.random.default_rng(5).standard_normal(shape)
+    e = codecs.abs_bound(data, eps, mode)
+    try:
+        blob = codecs.compress(codec, data, eps, mode=mode)
+    except ValueError:
+        return
+    err = metrics.max_abs_err(data, codecs.decompress(blob))
+    assert err <= e * (1 + metrics.BOUND_SLACK), (codec, err / e)
 
 
 def test_abs_bound():

@@ -51,3 +51,11 @@ def test_2d_input():
     e = 1e-3 * float(f.max() - f.min())
     d = tthresh.decompress(tthresh.compress(f, e))
     assert np.abs(d - f.astype(np.float64)).max() <= e * (1 + 1e-9)
+
+
+def test_overflowing_gram_raises_value_error():
+    """A 1e300-scale field squares past float64 in the mode Gram matrix,
+    which ``eigh`` cannot decompose."""
+    a = 1e300 * np.random.default_rng(5).standard_normal((24, 24, 24))
+    with pytest.raises(ValueError, match="Gram"):
+        tthresh.compress(a, 1e297)
