@@ -1,13 +1,30 @@
-"""Regenerate the measured-numbers sections of EXPERIMENTS.md from the
-``results/table*_bench.json`` files the table jobs emit.
+"""Reproduce the paper's evaluation tables (§7.2)::
+
+    python jobs/reproduce.py [N ...] [--scale=test]
+
+runs Tables N (default: 1–6) at bench scale (or test scale). Each table
+writes ``results/table<N>_<scale>.json`` and prints its markdown
+section, the paper's numbers next to ours; Table 5 also runs the Spark
+demo, which writes ``results/table5_spark_demo_<scale>.json``. At bench
+scale the job then rewrites EXPERIMENTS.md from EXPERIMENTS.template.md
+and the six results files.
 
 Paper reference numbers are inlined here (typed from the paper's tables)
 so the generated document always shows paper vs measured side by side.
 """
 from __future__ import annotations
 
+import argparse
 import json
+import math
+import os
+import tempfile
+import time
 from pathlib import Path
+
+from repro import codecs, sparkio, tables
+from repro.core import metrics
+from repro.datasets import generate
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -62,12 +79,17 @@ ORDER = ("RTM", "Miranda", "SegSalt", "SCALE", "JHTDB", "CESM-ATM")
 CODECS = ("sz3", "zfp", "qoz", "sperr", "faz", "tthresh", "hpez")
 
 
-def _load(name: str) -> list[dict]:
-    return json.loads((RESULTS / f"{name}_bench.json").read_text())
+def t1_section(rows: list[dict]) -> str:
+    out = ["| dataset | dims (bench) | MB | domain | type |", "|---|---|---|---|---|"]
+    for r in rows:
+        out.append(
+            f"| {r['dataset']} | {r['dimensions']} | {r['size_mb']:.1f} "
+            f"| {r['domain']} | {r['type']} |"
+        )
+    return "\n".join(out)
 
 
-def t2_section() -> str:
-    rows = _load("table2")
+def t2_section(rows: list[dict]) -> str:
     got = {(r["dataset"], r["codec"]): r for r in rows}
     out = [
         "| dataset | codec | paper comp | ours comp (min–max) | paper dec | ours dec (min–max) |",
@@ -98,9 +120,8 @@ def t2_section() -> str:
     return "\n".join(out)
 
 
-def t34_section(name: str, paper: dict, cods: tuple) -> str:
-    rows = _load(name)
-    got = {(r["dataset"], round(-__import__("math").log10(r["eps"]))): r for r in rows}
+def t34_section(rows: list[dict], paper: dict, cods: tuple) -> str:
+    got = {(r["dataset"], round(-math.log10(r["eps"]))): r for r in rows}
     hdr = " | ".join(f"paper {c} / ours {c}" for c in cods)
     out = [f"| dataset | eps | {hdr} |", "|---|---|" + "---|" * len(cods)]
     for ds in ORDER:
@@ -114,8 +135,7 @@ def t34_section(name: str, paper: dict, cods: tuple) -> str:
     return "\n".join(out)
 
 
-def t5_section() -> str:
-    rows = _load("table5")
+def t5_section(rows: list[dict]) -> str:
     got = {(r["dataset"], r["codec"]): r for r in rows}
     out = [
         "| dataset | codec | paper time (s, mean of directions) | ours time (s, modeled) | ours CR@PSNR80 |",
@@ -127,22 +147,17 @@ def t5_section() -> str:
             out.append(
                 f"| {ds} | {c} | {PAPER_T5[ds][c]} | {g['time_s']:.0f} | {g['cr']:.1f} |"
             )
-    imp = {
-        ds: next(
-            r["improve_pct"] for r in rows if r["dataset"] == ds and r["codec"] == "hpez"
-        )
-        for ds in ORDER
-    }
     out.append("")
     out.append("| dataset | paper HPEZ improve % | ours HPEZ improve % |")
     out.append("|---|---|---|")
     for ds in ORDER:
-        out.append(f"| {ds} | {PAPER_T5_IMPROVE[ds]} | {imp[ds]:.1f} |")
+        out.append(
+            f"| {ds} | {PAPER_T5_IMPROVE[ds]} | {got[(ds, 'hpez')]['improve_pct']:.1f} |"
+        )
     return "\n".join(out)
 
 
-def t6_section() -> str:
-    rows = _load("table6")
+def t6_section(rows: list[dict]) -> str:
     got = {(r["dataset"], r["fvfi"]): r for r in rows}
     out = [
         "| dataset | paper comp w/o→w | ours comp w/o→w | paper dec w/o→w | ours dec w/o→w |",
@@ -158,28 +173,111 @@ def t6_section() -> str:
     return "\n".join(out)
 
 
-def t1_section() -> str:
-    rows = _load("table1")
-    out = ["| dataset | dims (bench) | MB | domain | type |", "|---|---|---|---|---|"]
-    for r in rows:
-        out.append(
-            f"| {r['dataset']} | {r['dimensions']} | {r['size_mb']:.1f} "
-            f"| {r['domain']} | {r['type']} |"
-        )
-    return "\n".join(out)
+#: table number -> (rows at a scale, markdown section of the rows)
+TABLES = {
+    1: (tables.table1_datasets, t1_section),
+    2: (tables.table2_speeds, t2_section),
+    3: (tables.table3_cr_highperf, lambda rows: t34_section(rows, PAPER_T3, ("sz3", "zfp", "qoz", "hpez"))),
+    4: (tables.table4_cr_highratio, lambda rows: t34_section(rows, PAPER_T4, ("sperr", "faz", "tthresh", "hpez"))),
+    5: (tables.table5_transfer, t5_section),
+    6: (tables.table6_fvfi, t6_section),
+}
+
+
+def get_spark():
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        "--master local[*] --driver-memory 8g "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
+    )
+    from pyspark.sql import SparkSession
+
+    return (
+        SparkSession.builder.appName("repro-job")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+
+
+def spark_distributed_demo(scale: str) -> list[dict]:
+    """Actual distributed transfer on local Spark: block-parallel
+    compression, Parquet as the wire format, block-parallel decompression
+    — with wall-clock and on-the-wire byte accounting. Raises
+    ``RuntimeError`` when the reassembled field breaks the bound."""
+    spark = get_spark()
+    rows = []
+    bw = 1e9  # simulated inter-machine bandwidth, bytes/s
+    for ds in ("Miranda", "CESM-ATM"):
+        data = generate(ds, scale)
+        e_abs = codecs.abs_bound(data, 1e-3)
+        df = sparkio.to_blocks_df(spark, data, (64, 64, 64)).cache()
+        df.count()
+        for codec in ("sz3", "qoz", "sperr", "hpez"):
+            t0 = time.perf_counter()
+            comp = sparkio.compress_df(df, codec, e_abs, mode="abs").cache()
+            agg = comp.selectExpr(
+                "sum(orig_bytes) ob", "sum(comp_bytes) cb"
+            ).collect()[0]
+            t_comp = time.perf_counter() - t0
+            with tempfile.TemporaryDirectory() as tmp:
+                path = f"{tmp}/wire.parquet"
+                sparkio.write_compressed(comp, path)
+                t0 = time.perf_counter()
+                deco = sparkio.decompress_df(
+                    sparkio.read_compressed(spark, path)
+                )
+                out = sparkio.reassemble(deco, data.shape)
+                t_dec = time.perf_counter() - t0
+            err = metrics.max_abs_err(data, out)
+            if not err <= e_abs * (1 + metrics.BOUND_SLACK):
+                raise RuntimeError(
+                    f"bound violated: {codec} on {ds} max|x - x'| = {err!r} > e = {e_abs!r}"
+                )
+            comp.unpersist()
+            rows.append(
+                {
+                    "dataset": ds,
+                    "codec": codec,
+                    "cr": agg.ob / agg.cb,
+                    "wall_comp_s": t_comp,
+                    "wire_s_at_1GBps": agg.cb / bw,
+                    "wall_decomp_s": t_dec,
+                }
+            )
+    spark.stop()
+    return rows
+
+
+def _write(name: str, rows: list[dict]) -> None:
+    RESULTS.mkdir(exist_ok=True)
+    (RESULTS / f"{name}.json").write_text(json.dumps(rows, indent=1))
+    print(f"\n[{name}] {len(rows)} rows -> {RESULTS / (name + '.json')}")
+
+
+def experiments_md() -> str:
+    """EXPERIMENTS.template.md with every ``{{TABLEN}}`` replaced by the
+    section of ``results/tableN_bench.json``."""
+    text = (ROOT / "EXPERIMENTS.template.md").read_text()
+    for n, (_, section) in TABLES.items():
+        rows = json.loads((RESULTS / f"table{n}_bench.json").read_text())
+        text = text.replace(f"{{{{TABLE{n}}}}}", section(rows))
+    return text
 
 
 if __name__ == "__main__":
-    sections = {
-        "TABLE1": t1_section(),
-        "TABLE2": t2_section(),
-        "TABLE3": t34_section("table3", PAPER_T3, ("sz3", "zfp", "qoz", "hpez")),
-        "TABLE4": t34_section("table4", PAPER_T4, ("sperr", "faz", "tthresh", "hpez")),
-        "TABLE5": t5_section(),
-        "TABLE6": t6_section(),
-    }
-    tmpl = (ROOT / "EXPERIMENTS.template.md").read_text()
-    for key, text in sections.items():
-        tmpl = tmpl.replace(f"{{{{{key}}}}}", text)
-    (ROOT / "EXPERIMENTS.md").write_text(tmpl)
-    print("wrote EXPERIMENTS.md")
+    ap = argparse.ArgumentParser(description=__doc__.split("::")[0])
+    ap.add_argument("tables", nargs="*", type=int, choices=sorted(TABLES), default=sorted(TABLES))
+    ap.add_argument("--scale", choices=("bench", "test"), default="bench")
+    args = ap.parse_args()
+    for n in args.tables:
+        run, section = TABLES[n]
+        rows = run(args.scale)
+        _write(f"table{n}_{args.scale}", rows)
+        print(f"\n## Table {n}\n\n{section(rows)}")
+        if n == 5:
+            _write(f"table5_spark_demo_{args.scale}", spark_distributed_demo(args.scale))
+    if args.scale == "bench":
+        (ROOT / "EXPERIMENTS.md").write_text(experiments_md())
+        print("wrote EXPERIMENTS.md")

@@ -1,13 +1,12 @@
 """Computation behind every evaluation table (paper §7.2).
 
-Each ``table*`` function returns plain row dicts so the ``jobs/``
-entrypoints can print them, tests can assert on them, and benchmarks can
-time their pieces. Paper reference numbers live in EXPERIMENTS.md next
-to the measured output of these functions.
+Each ``table*`` function returns plain row dicts, which
+``jobs/reproduce.py`` writes to ``results/`` and renders as markdown next
+to the paper's numbers, and which tests assert on.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,26 +77,26 @@ def speed_data(name: str, scale: str = "bench") -> np.ndarray:
     return np.concatenate(tiles, axis=0)
 
 
-#: timed round trips per Table 2 cell; single runs on a shared machine
-#: read up to 45 % apart, so a cell reports the median and the range
+#: timed round trips per Table 2 and Table 6 cell; single runs on a
+#: shared machine read up to 45 % apart, so a cell reports the median and
+#: the range
 SPEED_REPEATS = 5
 
 
-def table2_speeds(
-    scale: str = "bench",
-    eps: float = 1e-3,
-    codec_names: Sequence[str] = codecs.ALL_CODECS,
-    datasets: Sequence[str] = FP_DATASETS,
+def _speeds(
+    fields: Iterable[tuple[str, np.ndarray]],
+    codec_names: Sequence[str],
+    eps: float,
 ) -> list[dict]:
-    """Table 2: compression/decompression speeds (MB/s) at eps=1e-3.
+    """Speed rows of each ``(dataset, data)`` in ``fields`` under each
+    codec at value-range bound ``eps``.
 
     Each cell is timed :data:`SPEED_REPEATS` times, the codecs
     interleaved (one round trip of every codec per repeat), so a slow
     spell of the machine hits every codec alike. ``comp_mbps`` and
     ``decomp_mbps`` are the medians, ``*_min`` / ``*_max`` the range."""
     rows = []
-    for ds in datasets:
-        data = speed_data(ds, scale)
+    for ds, data in fields:
         mb = data.nbytes / 1e6
         comp: dict[str, list[float]] = {c: [] for c in codec_names}
         dec: dict[str, list[float]] = {c: [] for c in codec_names}
@@ -123,6 +122,17 @@ def table2_speeds(
                 }
             )
     return rows
+
+
+def table2_speeds(
+    scale: str = "bench",
+    eps: float = 1e-3,
+    codec_names: Sequence[str] = codecs.ALL_CODECS,
+    datasets: Sequence[str] = FP_DATASETS,
+) -> list[dict]:
+    """Table 2: compression/decompression speeds (MB/s) at eps=1e-3 on
+    the tiled :func:`speed_data` fields, timed by :func:`_speeds`."""
+    return _speeds(((ds, speed_data(ds, scale)) for ds in datasets), codec_names, eps)
 
 
 def _cr_table(
@@ -248,28 +258,3 @@ def table6_fvfi(
             )
     return rows
 
-
-def format_rows(rows: list[dict], floatfmt: str = "{:.4g}") -> str:
-    """Plain-text table for job output."""
-    if not rows:
-        return "(empty)"
-    cols = list(rows[0].keys())
-    widths = {c: len(c) for c in cols}
-    rendered = []
-    for r in rows:
-        rr = {}
-        for c in cols:
-            v = r.get(c)
-            if isinstance(v, float):
-                rr[c] = floatfmt.format(v)
-            elif v is None:
-                rr[c] = ""
-            else:
-                rr[c] = str(v)
-            widths[c] = max(widths[c], len(rr[c]))
-        rendered.append(rr)
-    head = "  ".join(c.ljust(widths[c]) for c in cols)
-    lines = [head, "-" * len(head)]
-    for rr in rendered:
-        lines.append("  ".join(rr[c].ljust(widths[c]) for c in cols))
-    return "\n".join(lines)

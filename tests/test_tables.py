@@ -73,7 +73,3 @@ def test_table6_fvfi_speed_order():
     assert by[True]["comp_mbps"] > by[False]["comp_mbps"]
     assert by[True]["decomp_mbps"] > by[False]["decomp_mbps"]
 
-
-def test_format_rows():
-    txt = tables.format_rows([{"a": 1, "b": 2.5}, {"a": 10, "b": None}])
-    assert "a" in txt and "10" in txt
