@@ -160,15 +160,19 @@ def t5_section(rows: list[dict]) -> str:
 def t6_section(rows: list[dict]) -> str:
     got = {(r["dataset"], r["fvfi"]): r for r in rows}
     out = [
-        "| dataset | paper comp w/o→w | ours comp w/o→w | paper dec w/o→w | ours dec w/o→w |",
+        "| dataset | paper comp w/o→w | ours comp w/o→w (min–max) | paper dec w/o→w | ours dec w/o→w (min–max) |",
         "|---|---|---|---|---|",
     ]
+
+    def cell(r: dict, k: str) -> str:
+        return f"{r[k + '_mbps']:.1f} ({r[k + '_min']:.1f}–{r[k + '_max']:.1f})"
+
     for ds in ORDER:
         p = PAPER_T6[ds]
         a, b = got[(ds, False)], got[(ds, True)]
         out.append(
-            f"| {ds} | {p[0]}→{p[1]} | {a['comp_mbps']:.1f}→{b['comp_mbps']:.1f} "
-            f"| {p[2]}→{p[3]} | {a['decomp_mbps']:.1f}→{b['decomp_mbps']:.1f} |"
+            f"| {ds} | {p[0]}→{p[1]} | {cell(a, 'comp')}→{cell(b, 'comp')} "
+            f"| {p[2]}→{p[3]} | {cell(a, 'decomp')}→{cell(b, 'decomp')} |"
         )
     return "\n".join(out)
 

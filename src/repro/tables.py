@@ -236,25 +236,13 @@ def table6_fvfi(
     datasets: Sequence[str] = FP_DATASETS,
 ) -> list[dict]:
     """Table 6: HPEZ speeds with vs without fast-varying-first
-    interpolation (§5.4.1)."""
-    rows = []
-    for ds in datasets:
-        # untiled: both variants share the tuner cost, and the FVFI
-        # traversal contrast is a per-pass effect best seen at the
-        # bench field's own working-set size
-        data = generate(ds, scale)
-        mb = data.nbytes / 1e6
-        for fvfi in (False, True):
-            _, _, t_comp, t_dec = codecs.roundtrip(
-                "hpez" if fvfi else "hpez-nofvfi", data, eps
-            )
-            rows.append(
-                {
-                    "dataset": ds,
-                    "fvfi": fvfi,
-                    "comp_mbps": mb / t_comp,
-                    "decomp_mbps": mb / t_dec,
-                }
-            )
+    interpolation (§5.4.1), timed by :func:`_speeds`; ``fvfi`` tells the
+    two rows of a dataset apart."""
+    # untiled: both variants share the tuner cost, and the FVFI
+    # traversal contrast is a per-pass effect best seen at the bench
+    # field's own working-set size
+    fields = ((ds, generate(ds, scale)) for ds in datasets)
+    rows = _speeds(fields, ("hpez-nofvfi", "hpez"), eps)
+    for r in rows:
+        r["fvfi"] = r.pop("codec") == "hpez"
     return rows
-
