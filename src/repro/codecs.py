@@ -91,8 +91,8 @@ def roundtrip(
 ) -> tuple[bytes, np.ndarray, float, float]:
     """Timed :func:`compress` → :func:`decompress` under value-range bound
     ``eps`` that checks ``max|x - x'| <= e`` (with
-    :data:`metrics.BOUND_SLACK` relative slack); returns ``(blob, recon, compress_s,
-    decompress_s)``."""
+    :data:`metrics.BOUND_SLACK` relative slack); returns ``(blob, recon,
+    compress_s, decompress_s)``."""
     e = abs_bound(data, eps)
     t0 = time.perf_counter()
     blob = compress(name, data, eps)

@@ -48,8 +48,8 @@ class QuantEncoder:
         recon += pred
         # Outlier if the quantization index saturates or float rounding
         # pushed the reconstruction out of bound; the mask is only built
-        # when a reduction says there is one. The tests are written so
-        # that a NaN (a prediction from overflowed weights) is an outlier.
+        # when a reduction says there is one. The comparisons are written
+        # so that a NaN (predicted from overflowed §6.1 weights) is one.
         t = truth - recon
         np.abs(t, out=t)
         sat = RADIUS - 1
