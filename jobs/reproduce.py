@@ -188,7 +188,11 @@ TABLES = {
 }
 
 
-def get_spark():
+def spark_distributed_demo(scale: str) -> list[dict]:
+    """Actual distributed transfer on local Spark: block-parallel
+    compression, Parquet as the wire format, block-parallel decompression
+    — with wall-clock and on-the-wire byte accounting. Raises
+    ``RuntimeError`` when the reassembled field breaks the bound."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --driver-memory 8g "
@@ -197,20 +201,12 @@ def get_spark():
     )
     from pyspark.sql import SparkSession
 
-    return (
+    spark = (
         SparkSession.builder.appName("repro-job")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-
-
-def spark_distributed_demo(scale: str) -> list[dict]:
-    """Actual distributed transfer on local Spark: block-parallel
-    compression, Parquet as the wire format, block-parallel decompression
-    — with wall-clock and on-the-wire byte accounting. Raises
-    ``RuntimeError`` when the reassembled field breaks the bound."""
-    spark = get_spark()
     rows = []
     bw = 1e9  # simulated inter-machine bandwidth, bytes/s
     for ds in ("Miranda", "CESM-ATM"):
@@ -272,10 +268,12 @@ def experiments_md() -> str:
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.split("::")[0])
-    ap.add_argument("tables", nargs="*", type=int, choices=sorted(TABLES), default=sorted(TABLES))
+    ap.add_argument("tables", nargs="*", type=int, help="table numbers (default: 1-6)")
     ap.add_argument("--scale", choices=("bench", "test"), default="bench")
     args = ap.parse_args()
-    for n in args.tables:
+    if set(args.tables) - TABLES.keys():
+        ap.error(f"tables are numbered {min(TABLES)}-{max(TABLES)}")
+    for n in args.tables or sorted(TABLES):
         run, section = TABLES[n]
         rows = run(args.scale)
         _write(f"table{n}_{args.scale}", rows)
