@@ -181,8 +181,14 @@ def t6_section(rows: list[dict]) -> str:
 TABLES = {
     1: (tables.table1_datasets, t1_section),
     2: (tables.table2_speeds, t2_section),
-    3: (tables.table3_cr_highperf, lambda rows: t34_section(rows, PAPER_T3, ("sz3", "zfp", "qoz", "hpez"))),
-    4: (tables.table4_cr_highratio, lambda rows: t34_section(rows, PAPER_T4, ("sperr", "faz", "tthresh", "hpez"))),
+    3: (
+        tables.table3_cr_highperf,
+        lambda rows: t34_section(rows, PAPER_T3, ("sz3", "zfp", "qoz", "hpez")),
+    ),
+    4: (
+        tables.table4_cr_highratio,
+        lambda rows: t34_section(rows, PAPER_T4, ("sperr", "faz", "tthresh", "hpez")),
+    ),
     5: (tables.table5_transfer, t5_section),
     6: (tables.table6_fvfi, t6_section),
 }
